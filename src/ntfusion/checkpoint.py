@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, PayloadLengthMismatch, VersionUnsupported
+from .errors import BadMagic, CorruptHeader, PayloadLengthMismatch, VersionUnsupported
 from .network import LayerKind, LayerSpec, Network, PARAM_ORDER, check_specs
 
 MAGIC_PREFIX = b"NTCKPT"
@@ -63,9 +63,13 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     (header_len,) = struct.unpack("<I", blob[8:12])
     if len(blob) < 12 + header_len:
         raise PayloadLengthMismatch(f"{path}: header cut short")
-    header = json.loads(blob[12 : 12 + header_len].decode())
-    specs = [LayerSpec.from_dict(d) for d in header["arch"]]
-    check_specs(specs)
+    try:
+        header = json.loads(blob[12 : 12 + header_len].decode())
+        specs = [LayerSpec.from_dict(d) for d in header["arch"]]
+        arch_id = header["arch_id"]
+        check_specs(specs)  # a dims list of the wrong length fails in here
+    except (ValueError, KeyError, TypeError, IndexError) as exc:  # bad UTF-8 or JSON: ValueError
+        raise CorruptHeader(f"{path}: unreadable checkpoint header ({exc!r})") from exc
     payload = blob[12 + header_len :]
 
     expected = sum(
@@ -85,6 +89,6 @@ def load_checkpoint(path) -> tuple[Network, dict]:
             offset += count * 4
         params.append(p)
     net = Network(specs, params)
-    if net.arch_id != header["arch_id"]:
+    if net.arch_id != arch_id:
         raise PayloadLengthMismatch(f"{path}: header arch_id does not match the layer list")
     return net, header

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -210,15 +211,14 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
     return train, test
 
 
-def batches(ds: Dataset, plan: BatchPlan, epoch: int) -> list[tuple[Array, np.ndarray]]:
+def batches(ds: Dataset, plan: BatchPlan, epoch: int) -> Iterator[tuple[Array, np.ndarray]]:
     """Seeded per-epoch shuffle; every sample appears exactly once, the last
-    partial batch is kept unless drop_last."""
+    partial batch is kept unless drop_last. Batches are gathered one at a
+    time as the caller iterates."""
     n = len(ds)
     order = RngStream(plan.shuffle_seed, f"shuffle/epoch-{epoch}").permutation(n)
-    out = []
     for start in range(0, n, plan.batch_size):
         idx = order[start : start + plan.batch_size]
         if plan.drop_last and len(idx) < plan.batch_size:
-            break
-        out.append((np.ascontiguousarray(ds.features[idx]), ds.labels[idx]))
-    return out
+            return
+        yield np.ascontiguousarray(ds.features[idx]), ds.labels[idx]

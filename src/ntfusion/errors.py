@@ -57,5 +57,9 @@ class PayloadLengthMismatch(NTError):
     """Checkpoint payload length disagrees with the header architecture."""
 
 
+class CorruptHeader(NTError):
+    """Checkpoint header is not UTF-8 JSON in the expected schema."""
+
+
 class UsageError(NTError):
     """Bad command-line invocation."""

@@ -1,15 +1,23 @@
 """Per-layer forward/backward kernels on raw float32 arrays.
 
 Each forward returns (out, cache) where the cache holds exactly what the
-matching backward needs. Layer sequencing, parameter storage, and dispatch
-live in the network module.
+matching backward needs: conv keeps the im2col columns its forward
+multiplied, so the backward does not rebuild them; maxpool keeps
+(x, window, out) and routes each gradient to the first max of its window.
+Layer sequencing, parameter storage, and dispatch live in the network
+module.
+
+The conv, batchnorm and maxpool kernels match the slow paths kept in
+tests/oracles.py bit for bit on finite input. Non-finite input is out of
+scope: the next conv or linear rejects it through tensor._checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Array, _col2im, _im2col, conv2d, matmul
+# conv2d is not called here; it stays importable as layers.conv2d.
+from .tensor import Array, _col2im, _conv2d_cols, conv2d, matmul  # noqa: F401
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -30,21 +38,20 @@ def linear_backward(dout: Array, cache):
 
 
 def conv_forward(x: Array, w: Array, b: Array, stride: int, padding: int):
-    out = conv2d(x, w, stride, padding)
+    out, cols = _conv2d_cols(x, w, stride, padding)
     out += b.reshape(1, -1, 1, 1)
-    return out, (x, w, stride, padding)
+    return out, (cols, x.shape, w, stride, padding)
 
 
 def conv_backward(dout: Array, cache):
-    x, w, stride, padding = cache
+    cols, x_shape, w, stride, padding = cache
     o, _, kh, kw = w.shape
     batch = dout.shape[0]
     dout2 = dout.reshape(batch, o, -1)
-    cols = _im2col(x, kh, kw, stride, padding)
     dw = np.tensordot(dout2, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
     db = dout.sum(axis=(0, 2, 3))
     dcols = np.matmul(w.reshape(o, -1).T, dout2)
-    dx = _col2im(dcols, x.shape, kh, kw, stride, padding)
+    dx = _col2im(dcols, x_shape, kh, kw, stride, padding)
     return dx, dw.astype(np.float32, copy=False), db
 
 
@@ -59,9 +66,12 @@ def bn_forward(x: Array, weight: Array, bias: Array, running_mean: Array,
     if mode == "train":
         n = x.shape[0] * x.shape[2] * x.shape[3]
         mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        xhat = x - mu.reshape(1, -1, 1, 1)
+        # The same reduction np.var runs on the centred input, so the
+        # variance is bit-identical to x.var(axis=(0, 2, 3)).
+        var = np.square(xhat).sum(axis=(0, 2, 3)) / n
         inv = 1.0 / np.sqrt(var + np.float32(BN_EPS))
-        xhat = (x - mu.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+        xhat *= inv.reshape(1, -1, 1, 1)
         unbiased = var * (n / (n - 1)) if n > 1 else var
         running_mean *= np.float32(1.0 - BN_MOMENTUM)
         running_mean += np.float32(BN_MOMENTUM) * mu
@@ -76,41 +86,66 @@ def bn_forward(x: Array, weight: Array, bias: Array, running_mean: Array,
 
 def bn_backward(dout: Array, cache):
     xhat, weight, inv, mode = cache
-    dweight = (dout * xhat).sum(axis=(0, 2, 3))
+    scratch = dout * xhat
+    dweight = scratch.sum(axis=(0, 2, 3))
     dbias = dout.sum(axis=(0, 2, 3))
-    dxhat = dout * weight.reshape(1, -1, 1, 1)
+    dx = dout * weight.reshape(1, -1, 1, 1)  # dxhat, turned into dx in place
     if mode == "train":
+        # (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # evaluated in that order in two reused buffers.
         n = np.float32(dout.shape[0] * dout.shape[2] * dout.shape[3])
-        sum_dxhat = dxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-        dx = (inv.reshape(1, -1, 1, 1) / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        sum_dxhat = dx.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+        np.multiply(dx, xhat, out=scratch)
+        sum_dxhat_xhat = scratch.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+        dx *= n
+        dx -= sum_dxhat
+        np.multiply(xhat, sum_dxhat_xhat, out=scratch)
+        dx -= scratch
+        dx *= inv.reshape(1, -1, 1, 1) / n
     else:
-        dx = dxhat * inv.reshape(1, -1, 1, 1)
+        dx *= inv.reshape(1, -1, 1, 1)
     return dx, dweight, dbias
+
+
+def _pool_views(x: Array, window: int):
+    """The window*window strided views of x, one per offset in row-major
+    window order; view (i, j) holds element (i, j) of every window."""
+    oh, ow = x.shape[2] // window, x.shape[3] // window
+    for i in range(window):
+        for j in range(window):
+            yield x[:, :, i : oh * window : window, j : ow * window : window]
 
 
 def maxpool_forward(x: Array, window: int):
     """Max pooling with stride equal to the window; trailing rows/cols that
-    do not fill a window are cropped (their gradient is zero)."""
-    b, c, h, w = x.shape
-    oh, ow = h // window, w // window
-    xc = x[:, :, : oh * window, : ow * window]
-    win = xc.reshape(b, c, oh, window, ow, window).transpose(0, 1, 2, 4, 3, 5)
-    win = np.ascontiguousarray(win).reshape(b, c, oh, ow, window * window)
-    idx = np.argmax(win, axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), (x.shape, window, idx)
+    do not fill a window are cropped (their gradient is zero).
+
+    The cache is (x, window, out). When several elements of a window tie for
+    the max, the first in row-major window order wins, as with np.argmax:
+    np.maximum keeps its second operand on a tie (+0.0 against -0.0), so the
+    running max is passed second.
+    """
+    views = _pool_views(x, window)
+    out = next(views).copy()
+    for view in views:
+        np.maximum(view, out, out=out)
+    return out, (x, window, out)
 
 
 def maxpool_backward(dout: Array, cache):
-    x_shape, window, idx = cache
-    b, c, h, w = x_shape
-    oh, ow = h // window, w // window
-    dwin = np.zeros((b, c, oh, ow, window * window), dtype=np.float32)
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-    dwin = dwin.reshape(b, c, oh, ow, window, window).transpose(0, 1, 2, 4, 3, 5)
-    dx = np.zeros(x_shape, dtype=np.float32)
-    dx[:, :, : oh * window, : ow * window] = dwin.reshape(b, c, oh * window, ow * window)
+    """Route each output gradient to the first element of its window equal
+    to the max (the forward's tie rule); every other element gets zero."""
+    x, window, out = cache
+    dx = np.zeros_like(x)
+    dout_bits = dout.view(np.uint32)
+    unrouted = np.ones(out.shape, dtype=bool)
+    for view, dview in zip(_pool_views(x, window), _pool_views(dx, window)):
+        hit = view == out
+        hit &= unrouted
+        # The raw bits times the 0/1 mask copy dout where hit and write +0.0
+        # elsewhere (a float multiply would write -0.0 for negative dout).
+        np.multiply(dout_bits, hit, out=dview.view(np.uint32))
+        unrouted ^= hit
     return dx
 
 

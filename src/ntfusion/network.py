@@ -224,6 +224,7 @@ def _layer_forward(spec: LayerSpec, p: dict[str, Array], x: Array, mode: Mode):
 
 
 def forward_cached(net: Network, batch: Array, mode: Mode = "eval"):
+    """Run the chain and keep every layer's cache for `backprop`."""
     x = np.ascontiguousarray(batch, dtype=np.float32)
     caches = []
     for spec, p in zip(net.specs, net.params):
@@ -233,8 +234,15 @@ def forward_cached(net: Network, batch: Array, mode: Mode = "eval"):
 
 
 def forward(net: Network, batch: Array, mode: Mode = "eval") -> Array:
-    """Run the chain and return logits (batch_size x num_classes)."""
-    return forward_cached(net, batch, mode)[0]
+    """Run the chain and return logits (batch_size x num_classes).
+
+    Each layer's cache is dropped as soon as the layer returns; only
+    `forward_cached` keeps them.
+    """
+    x = np.ascontiguousarray(batch, dtype=np.float32)
+    for spec, p in zip(net.specs, net.params):
+        x = _layer_forward(spec, p, x, mode)[0]
+    return x
 
 
 def backprop(net: Network, caches: list, dlogits: Array) -> list[dict[str, Array]]:

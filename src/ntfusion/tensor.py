@@ -75,6 +75,12 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Array:
     ``x`` has shape (batch, in_ch, H, W) and ``kernel`` (out_ch, in_ch, kh, kw);
     the output spatial size is floor((H + 2*padding - kh) / stride) + 1.
     """
+    return _conv2d_cols(x, kernel, stride, padding)[0]
+
+
+def _conv2d_cols(x, kernel, stride: int, padding: int) -> tuple[Array, Array]:
+    """conv2d that also returns the im2col columns it multiplied, for a
+    backward pass to reuse."""
     x = as_f32(x)
     k = as_f32(kernel)
     if x.ndim != 4 or k.ndim != 4:
@@ -94,7 +100,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Array:
     cols = _im2col(x, kh, kw, stride, padding)
     with np.errstate(over="ignore", invalid="ignore"):  # _checked rejects non-finite
         out = np.matmul(k.reshape(o, -1), cols)
-    return _checked(np.ascontiguousarray(out.reshape(b, o, out_h, out_w)), "conv2d")
+    return _checked(np.ascontiguousarray(out.reshape(b, o, out_h, out_w)), "conv2d"), cols
 
 
 def row_l2_norms(w, bias=None, include_bias: bool = True) -> Array:

@@ -1,13 +1,16 @@
 """Independent brute-force oracles shared by the test suite.
 
 Everything here is deliberately naive (scalar loops, finite differences) and
-must stay independent of the library code paths it checks.
+must stay independent of the library code paths it checks. The layer kernels
+at the end are the slow paths the fast kernels in `ntfusion.layers` replaced.
 """
 
 import numpy as np
 
 from ntfusion import network
+from ntfusion.layers import BN_EPS, BN_MOMENTUM
 from ntfusion.losses import cross_entropy, kd
+from ntfusion.tensor import Array, _col2im, _im2col, conv2d
 
 
 def rel_error(a, b):
@@ -119,3 +122,95 @@ def check_gradients(net, x, y, tol=1e-3, eps=1e-3, loss="cross_entropy",
             assert err <= tol, f"layer {li} {key}: rel error {err:.2e} > {tol}"
             worst = max(worst, err)
     return worst
+
+
+# Slow-path layer kernels, kept verbatim from before the fast paths in
+# `ntfusion.layers` replaced them. The fast paths must match these bit for
+# bit on finite input: conv rebuilds its im2col columns in the backward,
+# batchnorm takes np.var, and maxpool routes through argmax (first index
+# wins ties) with take_along_axis / put_along_axis.
+
+
+def conv_forward(x: Array, w: Array, b: Array, stride: int, padding: int):
+    out = conv2d(x, w, stride, padding)
+    out += b.reshape(1, -1, 1, 1)
+    return out, (x, w, stride, padding)
+
+
+def conv_backward(dout: Array, cache):
+    x, w, stride, padding = cache
+    o, _, kh, kw = w.shape
+    batch = dout.shape[0]
+    dout2 = dout.reshape(batch, o, -1)
+    cols = _im2col(x, kh, kw, stride, padding)
+    dw = np.tensordot(dout2, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    db = dout.sum(axis=(0, 2, 3))
+    dcols = np.matmul(w.reshape(o, -1).T, dout2)
+    dx = _col2im(dcols, x.shape, kh, kw, stride, padding)
+    return dx, dw.astype(np.float32, copy=False), db
+
+
+def bn_forward(x: Array, weight: Array, bias: Array, running_mean: Array,
+               running_var: Array, mode: str):
+    """Per-channel batch norm over a (batch, ch, H, W) tensor.
+
+    Train mode normalizes with biased batch statistics and updates the
+    running buffers in place (unbiased variance, momentum 0.1). Eval mode
+    uses the frozen running statistics and mutates nothing.
+    """
+    if mode == "train":
+        n = x.shape[0] * x.shape[2] * x.shape[3]
+        mu = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        inv = 1.0 / np.sqrt(var + np.float32(BN_EPS))
+        xhat = (x - mu.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+        unbiased = var * (n / (n - 1)) if n > 1 else var
+        running_mean *= np.float32(1.0 - BN_MOMENTUM)
+        running_mean += np.float32(BN_MOMENTUM) * mu
+        running_var *= np.float32(1.0 - BN_MOMENTUM)
+        running_var += np.float32(BN_MOMENTUM) * unbiased
+    else:
+        inv = 1.0 / np.sqrt(running_var + np.float32(BN_EPS))
+        xhat = (x - running_mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+    out = weight.reshape(1, -1, 1, 1) * xhat + bias.reshape(1, -1, 1, 1)
+    return out, (xhat, weight, inv, mode)
+
+
+def bn_backward(dout: Array, cache):
+    xhat, weight, inv, mode = cache
+    dweight = (dout * xhat).sum(axis=(0, 2, 3))
+    dbias = dout.sum(axis=(0, 2, 3))
+    dxhat = dout * weight.reshape(1, -1, 1, 1)
+    if mode == "train":
+        n = np.float32(dout.shape[0] * dout.shape[2] * dout.shape[3])
+        sum_dxhat = dxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+        dx = (inv.reshape(1, -1, 1, 1) / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    else:
+        dx = dxhat * inv.reshape(1, -1, 1, 1)
+    return dx, dweight, dbias
+
+
+def maxpool_forward(x: Array, window: int):
+    """Max pooling with stride equal to the window; trailing rows/cols that
+    do not fill a window are cropped (their gradient is zero)."""
+    b, c, h, w = x.shape
+    oh, ow = h // window, w // window
+    xc = x[:, :, : oh * window, : ow * window]
+    win = xc.reshape(b, c, oh, window, ow, window).transpose(0, 1, 2, 4, 3, 5)
+    win = np.ascontiguousarray(win).reshape(b, c, oh, ow, window * window)
+    idx = np.argmax(win, axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    return np.ascontiguousarray(out), (x.shape, window, idx)
+
+
+def maxpool_backward(dout: Array, cache):
+    x_shape, window, idx = cache
+    b, c, h, w = x_shape
+    oh, ow = h // window, w // window
+    dwin = np.zeros((b, c, oh, ow, window * window), dtype=np.float32)
+    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
+    dwin = dwin.reshape(b, c, oh, ow, window, window).transpose(0, 1, 2, 4, 3, 5)
+    dx = np.zeros(x_shape, dtype=np.float32)
+    dx[:, :, : oh * window, : ow * window] = dwin.reshape(b, c, oh * window, ow * window)
+    return dx

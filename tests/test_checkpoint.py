@@ -2,13 +2,18 @@
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntfusion import network as nw
 from ntfusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from ntfusion.errors import BadMagic, PayloadLengthMismatch, VersionUnsupported
+from ntfusion.errors import (BadMagic, CorruptHeader, NTError, PayloadLengthMismatch,
+                             VersionUnsupported)
 from ntfusion.network import init_network
 from ntfusion.tensor import RngStream
 
@@ -107,3 +112,51 @@ class TestCorruption:
                          blob[12 + hlen :])
         with pytest.raises(PayloadLengthMismatch):
             load_checkpoint(path)
+
+
+def conv_ckpt_bytes():
+    net = init_network([nw.conv(1, 3, 3, padding=1), nw.batchnorm(3), nw.relu(),
+                        nw.maxpool(2), nw.flatten(), nw.linear(3 * 16, 3)],
+                       RngStream(11, "net"))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "c.ntckpt"
+        save_checkpoint(net, path, {"seed": 11})
+        return path.read_bytes()
+
+
+CONV_CKPT = conv_ckpt_bytes()
+CONV_HEADER_END = 12 + struct.unpack("<I", CONV_CKPT[8:12])[0]
+
+
+def load_bytes(blob):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "x.ntckpt"
+        path.write_bytes(blob)
+        return load_checkpoint(path)
+
+
+class TestHeaderFuzz:
+    # Payload bytes are raw floats, so any change there still loads; the
+    # fuzz targets the magic, the header length and the JSON header.
+    @given(st.integers(0, CONV_HEADER_END - 1), st.integers(0, 255))
+    @settings(max_examples=400, deadline=None)
+    def test_single_byte_corruption_loads_or_raises_nterror(self, index, value):
+        blob = bytearray(CONV_CKPT)
+        blob[index] = value
+        try:
+            load_bytes(bytes(blob))
+        except NTError:
+            pass
+
+    @pytest.mark.parametrize("old,new", [
+        (b'"conv2d"', b'"conv2\xff"'),  # not UTF-8
+        (b'"arch_id"', b'"arch_iX"'),  # missing key
+        (b'"relu"', b'"relU"'),  # unknown layer kind
+        (b'"dims":[1,3,3,3,1,1]', b'"dims":[1.3,3,3,1,1]'),  # conv dims arity
+        (b'"dims":[2]', b'"dims":[ ]'),  # maxpool without a window
+        (b'{"arch"', b'["arch"'),  # header is not an object
+    ])
+    def test_schema_violations_raise_corrupt_header(self, old, new):
+        assert len(old) == len(new) and CONV_CKPT.count(old) == 1
+        with pytest.raises(CorruptHeader):
+            load_bytes(CONV_CKPT.replace(old, new))

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from ntfusion.checkpoint import load_checkpoint
+from ntfusion import network as nw
+from ntfusion.checkpoint import load_checkpoint, save_checkpoint
 from ntfusion.cli import cli_dispatch
+from ntfusion.tensor import RngStream
 
 
 @pytest.fixture()
@@ -37,6 +39,18 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["eval", "--nope", "x"]) == 1
+
+    def test_fuse_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
+        specs = [nw.linear(4, 6), nw.relu(), nw.linear(6, 3)]
+        paths = [tmp_path / f"m{i}.ckpt" for i in range(2)]
+        for i, path in enumerate(paths):
+            save_checkpoint(nw.init_network(specs, RngStream(i, "init")), path)
+        blob = bytearray(paths[1].read_bytes())
+        blob[20] = 0xFF  # inside the JSON header: no longer UTF-8
+        paths[1].write_bytes(bytes(blob))
+        code = run(["fuse", "--method", "nt", "--in", *paths, "--out", tmp_path / "f.ckpt"])
+        assert code == 2
+        assert "checkpoint header" in capsys.readouterr().err
 
     def test_runtime_error_is_exit_2(self, workdir, capsys):
         bad = workdir / "bad.ckpt"

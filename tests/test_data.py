@@ -171,8 +171,9 @@ class TestBatches:
 
     def test_replay_identical(self):
         plan = BatchPlan(batch_size=3, shuffle_seed=8)
-        a = batches(self.ds, plan, 4)
-        b = batches(self.ds, plan, 4)
+        a = list(batches(self.ds, plan, 4))
+        b = list(batches(self.ds, plan, 4))
+        assert len(a) == len(b) == 4
         for (xa, ya), (xb, yb) in zip(a, b):
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)

@@ -71,7 +71,7 @@ class TestTrain:
         hand = net.clone()
         velocity = [{k: np.zeros_like(v) for k, v in p.items()} for p in hand.params]
         for epoch in range(2):
-            bx, by = batches(train_ds, cfg.batch, epoch)[0]
+            bx, by = list(batches(train_ds, cfg.batch, epoch))[0]
             _, grads = nw.backward(hand, bx, by)
             for p, v, g in zip(hand.params, velocity, grads):
                 for key in g:

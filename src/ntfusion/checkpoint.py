@@ -9,8 +9,8 @@ bit-exact regardless of host endianness.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -53,40 +53,50 @@ def save_checkpoint(net: Network, path, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Network, dict]:
-    """Read a checkpoint; returns (network, header dict)."""
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) + 4 or not blob.startswith(MAGIC_PREFIX):
-        raise BadMagic(f"{path}: not a checkpoint file")
-    version = blob[len(MAGIC_PREFIX) : len(MAGIC) ]
-    if version != VERSION + b"\x00":
-        raise VersionUnsupported(f"{path}: unsupported checkpoint version {version!r}")
-    (header_len,) = struct.unpack("<I", blob[8:12])
-    if len(blob) < 12 + header_len:
-        raise PayloadLengthMismatch(f"{path}: header cut short")
-    try:
-        header = json.loads(blob[12 : 12 + header_len].decode())
-        specs = [LayerSpec.from_dict(d) for d in header["arch"]]
-        arch_id = header["arch_id"]
-        check_specs(specs)  # a dims list of the wrong length fails in here
-    except (ValueError, KeyError, TypeError, IndexError) as exc:  # bad UTF-8 or JSON: ValueError
-        raise CorruptHeader(f"{path}: unreadable checkpoint header ({exc!r})") from exc
-    payload = blob[12 + header_len :]
+    """Read a checkpoint; returns (network, header dict).
 
-    expected = sum(
-        int(np.prod(shape)) for s in specs for _, shape in _param_shapes(s)) * 4
-    if len(payload) != expected:
-        raise PayloadLengthMismatch(
-            f"{path}: payload {len(payload)} bytes, architecture implies {expected}")
+    The payload is read once, straight into one float32 array, and the
+    parameters are views of it; sizes are checked against the file size
+    before anything is allocated.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(len(MAGIC) + 4)
+        if len(lead) < len(MAGIC) + 4 or not lead.startswith(MAGIC_PREFIX):
+            raise BadMagic(f"{path}: not a checkpoint file")
+        version = lead[len(MAGIC_PREFIX) : len(MAGIC)]
+        if version != VERSION + b"\x00":
+            raise VersionUnsupported(f"{path}: unsupported checkpoint version {version!r}")
+        (header_len,) = struct.unpack("<I", lead[8:12])
+        if size < 12 + header_len:
+            raise PayloadLengthMismatch(f"{path}: header cut short")
+        header_bytes = fh.read(header_len)
+        try:
+            header = json.loads(header_bytes.decode())
+            specs = [LayerSpec.from_dict(d) for d in header["arch"]]
+            arch_id = header["arch_id"]
+            check_specs(specs)  # a dims list of the wrong length fails in here
+        except (ValueError, KeyError, TypeError, IndexError) as exc:  # bad UTF-8 or JSON: ValueError
+            raise CorruptHeader(f"{path}: unreadable checkpoint header ({exc!r})") from exc
+        shapes = [_param_shapes(s) for s in specs]
+        count = sum(int(np.prod(shape)) for layer in shapes for _, shape in layer)
+        payload_len = size - 12 - header_len
+        if payload_len != count * 4:
+            raise PayloadLengthMismatch(
+                f"{path}: payload {payload_len} bytes, architecture implies {count * 4}")
+        flat = np.empty(count, dtype="<f4")
+        if fh.readinto(flat) != count * 4:
+            raise PayloadLengthMismatch(f"{path}: payload cut short while reading")
+    flat = flat.astype(np.float32, copy=False)  # converts only on big-endian hosts
 
     params: list[dict] = []
     offset = 0
-    for spec in specs:
+    for layer in shapes:
         p = {}
-        for key, shape in _param_shapes(spec):
-            count = int(np.prod(shape))
-            arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-            p[key] = arr.astype(np.float32, copy=True).reshape(shape)
-            offset += count * 4
+        for key, shape in layer:
+            n = int(np.prod(shape))
+            p[key] = flat[offset : offset + n].reshape(shape)
+            offset += n
         params.append(p)
     net = Network(specs, params)
     if net.arch_id != arch_id:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import experiments, reporting
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import NTError, UsageError
+from .errors import BadSpec, NTError, UsageError
 from .experiments import ExperimentSpec, build_arch, build_dataset
 from .fusion import EnsembleBundle, FusionPlan, fuse
 from .network import init_network
@@ -76,22 +76,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse_json(text: str, what: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise BadSpec(f"{what} is not JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise BadSpec(f"{what} must be a JSON object")
+    return doc
+
+
+def _read_json(path) -> dict:
+    return _parse_json(Path(path).read_text(encoding="utf-8"), str(path))
+
+
 def _load_descriptor(text: str) -> dict:
     candidate = Path(text)
     if candidate.exists():
-        return json.loads(candidate.read_text(encoding="utf-8"))
+        return _read_json(candidate)
     text = text.strip()
     if text.startswith("{"):
-        return json.loads(text)
+        return _parse_json(text, "--data")
     raise UsageError(f"--data expects a JSON file or literal, got {text!r}")
 
 
 def _cmd_train(args) -> int:
-    doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    train_ds, test_ds = build_dataset(doc["dataset"])
+    doc = _read_json(args.spec)
+    train_ds, test_ds = build_dataset(doc.get("dataset"))
     cfg = experiments._train_config(doc.get("train", {}))
-    seed = int(doc.get("seed", 0))
-    net = init_network(build_arch(doc["arch"]), RngStream(seed, "init"))
+    seed = experiments._get(doc, "seed", int, 0)
+    net = init_network(build_arch(doc.get("arch")), RngStream(seed, "init"))
     net, history = train(net, train_ds, test_ds, cfg.reseeded(seed))
     metrics = {"test_accuracy": history.records[-1].test_accuracy} if history.records else {}
     save_checkpoint(net, args.out, {"seed": seed, "epoch": cfg.epochs, "metrics": metrics})
@@ -159,7 +173,8 @@ def run_experiment_spec(spec: ExperimentSpec, doc: dict, out_dir: Path) -> list:
             spec, ks=tuple(doc.get("ks", (2, 4, 8))),
             methods=tuple(doc.get("methods", ("nt", "nt_iterative", "nt_recursive"))))
     elif kind == "sweep":
-        reports = experiments.ablation_sweep(doc["axis"], doc["values"], spec)
+        reports = experiments.ablation_sweep(experiments._get(doc, "axis", str),
+                                             experiments._get(doc, "values", list), spec)
     elif kind == "failure":
         reports = [experiments.failure_case(spec)]
     elif kind == "compare":
@@ -178,7 +193,7 @@ def run_experiment_spec(spec: ExperimentSpec, doc: dict, out_dir: Path) -> list:
 
 
 def _cmd_experiment(args) -> int:
-    doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    doc = _read_json(args.spec)
     spec = ExperimentSpec.from_json(doc)
     reports = run_experiment_spec(spec, doc, Path(args.out))
     print(f"wrote {len(reports)} report(s) to {args.out}")

@@ -61,5 +61,9 @@ class CorruptHeader(NTError):
     """Checkpoint header is not UTF-8 JSON in the expected schema."""
 
 
+class BadSpec(NTError):
+    """A JSON spec or descriptor lacks a required key or has one of the wrong type."""
+
+
 class UsageError(NTError):
     """Bad command-line invocation."""

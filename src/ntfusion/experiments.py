@@ -11,7 +11,6 @@ assembled in seed order either way.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,60 +29,101 @@ from .data import (
     synth_shapes,
     train_test_split,
 )
-from .errors import InvalidArg
+from .errors import BadSpec, InvalidArg
 from .fusion import EnsembleBundle, FusionPlan, concat_fuse, fuse, nt_fuse, vanilla_average
 from .network import LayerSpec, Network, init_network
-from .pruning import KeepPolicy, magnitude_prune, prune_to_architecture
+from .pruning import KeepPolicy, magnitude_prune, prune_concat, prune_to_architecture
 from .reporting import RunReport, SeedRecord
-from .tensor import RngStream, row_l2_norms
+from .tensor import RngStream
 from .training import KdConfig, TrainConfig, distill, evaluate, train
 from .training import average_logits
 
 
+_REQUIRED = object()
+_JSON_KINDS = {int: (int,), float: (int, float), str: (str,), bool: (bool,),
+               dict: (dict,), list: (list,)}
+
+
+def _get(doc: dict, key: str, kind: type, default=_REQUIRED):
+    """doc[key] as a JSON value of `kind` (a float may be written as an
+    integer); an absent or null key gives `default` or, if required, BadSpec."""
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise BadSpec(f"spec key {key!r} is missing")
+        return default
+    if not isinstance(value, _JSON_KINDS[kind]) or (isinstance(value, bool) and kind is not bool):
+        raise BadSpec(f"spec key {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _ints(doc: dict, key: str, default=_REQUIRED) -> list[int]:
+    values = _get(doc, key, list, default)
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
+        raise BadSpec(f"spec key {key!r} must be a list of integers, got {values!r}")
+    return values
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise BadSpec(f"{what} must be a JSON object, got {doc!r}")
+    return doc
+
+
 def build_dataset(desc: dict) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) from a JSON-able descriptor."""
+    desc = _object(desc, "dataset descriptor")
     kind = desc.get("kind")
     if kind == "blobs":
-        ds = synth_blobs(desc["n"], desc["classes"], desc["dim"], desc["spread"], desc["seed"])
-        return train_test_split(ds, desc.get("test_fraction", 0.25), desc["seed"])
+        seed = _get(desc, "seed", int)
+        ds = synth_blobs(_get(desc, "n", int), _get(desc, "classes", int), _get(desc, "dim", int),
+                         _get(desc, "spread", float), seed)
+        return train_test_split(ds, _get(desc, "test_fraction", float, 0.25), seed)
     if kind == "shapes":
-        ds = synth_shapes(desc["n"], desc["classes"], desc.get("image", 12),
-                          desc.get("noise", 0.1), desc["seed"])
-        return train_test_split(ds, desc.get("test_fraction", 0.25), desc["seed"])
+        seed = _get(desc, "seed", int)
+        ds = synth_shapes(_get(desc, "n", int), _get(desc, "classes", int),
+                          _get(desc, "image", int, 12), _get(desc, "noise", float, 0.1), seed)
+        return train_test_split(ds, _get(desc, "test_fraction", float, 0.25), seed)
     if kind == "idx":
-        train_ds = load_idx(desc["train_images"], desc["train_labels"],
-                            desc.get("num_classes"), "train")
-        test_ds = load_idx(desc["test_images"], desc["test_labels"],
-                           desc.get("num_classes"), "test")
-        if desc.get("limit_train"):
-            train_ds = train_ds.subset(np.arange(int(desc["limit_train"])))
-        if desc.get("limit_test"):
-            test_ds = test_ds.subset(np.arange(int(desc["limit_test"])))
+        num_classes = _get(desc, "num_classes", int, None)
+        train_ds = load_idx(_get(desc, "train_images", str), _get(desc, "train_labels", str),
+                            num_classes, "train")
+        test_ds = load_idx(_get(desc, "test_images", str), _get(desc, "test_labels", str),
+                           num_classes, "test")
+        if _get(desc, "limit_train", int, 0):
+            train_ds = train_ds.subset(np.arange(desc["limit_train"]))
+        if _get(desc, "limit_test", int, 0):
+            test_ds = test_ds.subset(np.arange(desc["limit_test"]))
         return train_ds, test_ds
     if kind == "csv":
-        ds = load_csv(desc["path"], desc.get("num_classes"))
-        return train_test_split(ds, desc.get("test_fraction", 0.25), desc.get("seed", 0))
+        ds = load_csv(_get(desc, "path", str), _get(desc, "num_classes", int, None))
+        return train_test_split(ds, _get(desc, "test_fraction", float, 0.25),
+                                _get(desc, "seed", int, 0))
     raise InvalidArg(f"unknown dataset kind {kind!r}")
 
 
 def build_arch(template: dict) -> list[LayerSpec]:
     """Expand an architecture template into a layer spec list."""
+    template = _object(template, "arch template")
     t = template.get("type")
     if t == "mlp":
-        dims = [template["in_features"], *template["hidden"]]
+        dims = [_get(template, "in_features", int), *_ints(template, "hidden")]
         specs: list[LayerSpec] = [nw.flatten()]  # accept image or flat features
         for a, b in zip(dims[:-1], dims[1:]):
             specs += [nw.linear(a, b), nw.relu()]
-        specs.append(nw.linear(dims[-1], template["classes"]))
+        specs.append(nw.linear(dims[-1], _get(template, "classes", int)))
         return specs
     if t == "convnet":
-        h, w = template["image_hw"]
-        cin = template["in_channels"]
-        kernel = template.get("kernel", 3)
-        padding = template.get("padding", 1)
-        use_bn = template.get("batchnorm", True)
+        hw = _ints(template, "image_hw")
+        if len(hw) != 2:
+            raise BadSpec(f"spec key 'image_hw' must hold two integers, got {hw!r}")
+        h, w = hw
+        cin = _get(template, "in_channels", int)
+        kernel = _get(template, "kernel", int, 3)
+        padding = _get(template, "padding", int, 1)
+        use_bn = _get(template, "batchnorm", bool, True)
         specs = []
-        for cout in template["conv_channels"]:
+        for cout in _ints(template, "conv_channels"):
             specs.append(nw.conv(cin, cout, kernel, stride=1, padding=padding))
             if use_bn:
                 specs.append(nw.batchnorm(cout))
@@ -94,13 +134,16 @@ def build_arch(template: dict) -> list[LayerSpec]:
             cin = cout
         specs.append(nw.flatten())
         feat = cin * h * w
-        for hidden in template.get("hidden", []):
+        for hidden in _ints(template, "hidden", []):
             specs += [nw.linear(feat, hidden), nw.relu()]
             feat = hidden
-        specs.append(nw.linear(feat, template["classes"]))
+        specs.append(nw.linear(feat, _get(template, "classes", int)))
         return specs
     if t == "layers":
-        return [LayerSpec.from_dict(d) for d in template["layers"]]
+        try:
+            return [LayerSpec.from_dict(d) for d in _get(template, "layers", list)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadSpec(f"bad layer list ({exc!r})") from exc
     raise InvalidArg(f"unknown arch template {t!r}")
 
 
@@ -126,49 +169,55 @@ class ExperimentSpec:
     @staticmethod
     def from_json(doc) -> "ExperimentSpec":
         if isinstance(doc, (str, Path)):
-            doc = json.loads(Path(doc).read_text(encoding="utf-8"))
-        train_cfg = _train_config(doc.get("train", {}))
-        plan_doc = dict(doc.get("plan", {}))
-        ft_doc = plan_doc.pop("finetune", None)
+            try:
+                doc = json.loads(Path(doc).read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise BadSpec(f"spec is not JSON ({exc})") from exc
+        doc = _object(doc, "experiment spec")
+        train_cfg = _train_config(_get(doc, "train", dict, {}))
+        plan_doc = _get(doc, "plan", dict, {})
+        ft_doc = _get(plan_doc, "finetune", dict, None)
         finetune = _train_config(ft_doc) if ft_doc else replace(train_cfg, epochs=30)
         if "finetune_epochs" in doc:
-            finetune = replace(finetune, epochs=int(doc["finetune_epochs"]))
+            finetune = replace(finetune, epochs=_get(doc, "finetune_epochs", int))
         plan = FusionPlan(
-            method=plan_doc.get("method", "nt"),
-            sparsity=plan_doc.get("sparsity"),
-            pipeline=plan_doc.get("pipeline", "merge_prune_ft"),
+            method=_get(plan_doc, "method", str, "nt"),
+            sparsity=_get(plan_doc, "sparsity", float, None),
+            pipeline=_get(plan_doc, "pipeline", str, "merge_prune_ft"),
             finetune=finetune,
         )
         return ExperimentSpec(
-            name=doc["name"],
-            dataset=doc["dataset"],
-            arch=doc["arch"],
-            k=int(doc.get("k", 2)),
-            seeds=tuple(doc.get("seeds", (1, 2, 3, 4, 5))),
+            name=_get(doc, "name", str),
+            dataset=_get(doc, "dataset", dict),
+            arch=_get(doc, "arch", dict),
+            k=_get(doc, "k", int, 2),
+            seeds=tuple(_ints(doc, "seeds", [1, 2, 3, 4, 5])),
             train=train_cfg,
             plan=plan,
-            outputs=doc.get("outputs"),
+            outputs=_get(doc, "outputs", str, None),
         )
 
 
 def _train_config(doc: dict) -> TrainConfig:
     from .training import StepDecay
 
-    batch_doc = doc.get("batch", {})
+    doc = _object(doc, "train config")
+    batch_doc = _get(doc, "batch", dict, {})
     plan = BatchPlan(
-        batch_size=int(batch_doc.get("batch_size", 64)),
-        shuffle_seed=int(batch_doc.get("shuffle_seed", 0)),
-        drop_last=bool(batch_doc.get("drop_last", False)),
+        batch_size=_get(batch_doc, "batch_size", int, 64),
+        shuffle_seed=_get(batch_doc, "shuffle_seed", int, 0),
+        drop_last=_get(batch_doc, "drop_last", bool, False),
     )
-    sched_doc = doc.get("schedule")
-    schedule = StepDecay(int(sched_doc["period"]), float(sched_doc["factor"])) if sched_doc else None
+    sched_doc = _get(doc, "schedule", dict, None)
+    schedule = (StepDecay(_get(sched_doc, "period", int), _get(sched_doc, "factor", float))
+                if sched_doc else None)
     return TrainConfig(
-        epochs=int(doc.get("epochs", 20)),
-        lr=float(doc.get("lr", 0.05)),
-        momentum=float(doc.get("momentum", 0.9)),
+        epochs=_get(doc, "epochs", int, 20),
+        lr=_get(doc, "lr", float, 0.05),
+        momentum=_get(doc, "momentum", float, 0.9),
         schedule=schedule,
         batch=plan,
-        seed=int(doc.get("seed", 0)),
+        seed=_get(doc, "seed", int, 0),
     )
 
 
@@ -209,12 +258,6 @@ def ensemble_accuracy(members, ds: Dataset, batch_size: int = 256) -> float:
     return correct / len(ds)
 
 
-def _norm_bytes(net: Network) -> int:
-    from .network import hidden_couplings
-
-    return sum(c.units * 4 for c in hidden_couplings(net))
-
-
 def _even_member_quotas(width: int, k: int) -> tuple[int, ...]:
     base, extra = divmod(width, k)
     return tuple(base + (1 if j < extra else 0) for j in range(k))
@@ -230,15 +273,15 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
         fused = fuse(bundle, plan)
         peak += fused.num_bytes()
         return fused, merged_series, peak
-    big = concat_fuse(bundle)
-    peak += big.num_bytes() + _norm_bytes(big)
     if plan.pipeline == "prune_merge_ft":
-        member_widths = {c.units // bundle.k for c in nw.hidden_couplings(big)}
+        member_widths = {c.units for c in nw.hidden_couplings(reference)}
         if len(member_widths) != 1:
             raise InvalidArg("prune_merge_ft needs uniform hidden widths")
         quotas = _even_member_quotas(member_widths.pop(), bundle.k)
-        pruned = magnitude_prune(big, KeepPolicy.per_member(quotas))
+        pruned = prune_concat(bundle.members, KeepPolicy.per_member(quotas))
     elif plan.pipeline == "merge_ft_prune_ft":
+        big = concat_fuse(bundle)
+        peak += big.num_bytes() + 4 * sum(c.units for c in nw.hidden_couplings(big))
         mid_epochs = plan.finetune.epochs // 2
         mid_cfg = replace(plan.finetune, epochs=mid_epochs).reseeded(seed * 1000 + 811)
         big, mid_history = train(big, train_ds, test_ds, mid_cfg)
@@ -246,8 +289,7 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
         pruned = (prune_to_architecture(big, reference) if plan.sparsity is None
                   else magnitude_prune(big, KeepPolicy.sparsity(plan.sparsity)))
     else:  # merge_prune_ft
-        pruned = (prune_to_architecture(big, reference) if plan.sparsity is None
-                  else magnitude_prune(big, KeepPolicy.sparsity(plan.sparsity)))
+        pruned = nt_fuse(bundle, plan.sparsity)
     peak += pruned.num_bytes()
     return pruned, merged_series, peak
 
@@ -496,8 +538,9 @@ def measure_fusion_cost(widths, k: int = 2, in_dim: int = 512, classes: int = 10
     """Median fusion wall time and a peak-live-tensor-bytes estimate per
     (method, width) on one-hidden-layer ensembles.
 
-    The estimate counts input models plus every tensor a method materializes
-    (concatenation, norms, cost matrices, outputs); model bytes are reported
+    The estimate counts input models, outputs and the large tensors a
+    method builds on the way (alignment's cost matrix and permuted copy; NT
+    gathers its output straight from the members); model bytes are reported
     separately. Alignment is skipped above `align_width_cap` where the cost
     matrix dominates (mirroring how transport-based fusion runs out of
     memory at scale).
@@ -520,9 +563,8 @@ def measure_fusion_cost(widths, k: int = 2, in_dim: int = 512, classes: int = 10
                     fused = vanilla_average(bundle)
                     peak = model_bytes + fused.num_bytes()
                 elif method == "nt":
-                    big = concat_fuse(bundle)
-                    fused = prune_to_architecture(big, members[0])
-                    peak = model_bytes + big.num_bytes() + _norm_bytes(big) + fused.num_bytes()
+                    fused = nt_fuse(bundle)
+                    peak = model_bytes + fused.num_bytes()
                 else:
                     fused = align_average(members[0], members[1])
                     cost_bytes = max(c.units ** 2 * 8 for c in nw.hidden_couplings(members[0]))

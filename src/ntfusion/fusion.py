@@ -4,8 +4,12 @@ transplantation between two models, and pairwise reduction schemes.
 The central construction is `concat_fuse`: stack every non-output layer of
 the k members and average the classification heads, with all cross-member
 ("cross") weights of interior layers set to zero. In eval mode the fused
-network computes exactly the uniform mean of the member outputs, which makes
-it the starting point for prune-based fusion.
+network computes exactly the uniform mean of the member outputs. NT
+(`nt_fuse` and the pairwise schemes) keeps the highest-norm units of that
+network; because the cross weights are zero, the kept units are gathered
+straight from the members (`pruning.prune_concat`) and the wide network is
+never built. `concat_fuse` itself remains for fine-tuning the wide model
+before pruning.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ArchMismatch, InvalidArg, UnsupportedTopology
+from .errors import ArchMismatch, InvalidArg
 from .network import (
     LayerKind,
     LayerSpec,
@@ -27,6 +31,7 @@ from .network import (
     hidden_couplings,
     permute_units,
 )
+from .pruning import KeepPolicy, prune_concat
 from .tensor import row_l2_norms
 
 
@@ -260,53 +265,54 @@ def transplant_fraction(recipient: Network, donor: Network, p: float,
     return out
 
 
+def _member_widths(net: Network) -> KeepPolicy:
+    return KeepPolicy.keep_counts(c.units for c in hidden_couplings(net))
+
+
 def nt_fuse(bundle: EnsembleBundle, sparsity: Optional[float] = None) -> Network:
-    """Joint neuron transplantation: concatenate, then prune the lowest-norm
-    units back down (default to one member's architecture)."""
-    from .pruning import KeepPolicy, magnitude_prune, prune_to_architecture
+    """Joint neuron transplantation: keep the highest-norm units of the
+    members' layer-wise concatenation (default: one member's widths).
 
+    The result is bit-identical to pruning `concat_fuse(bundle)` but is
+    gathered straight from the members, so memory stays at the members plus
+    the result rather than the k-fold wider concatenation.
+    """
     _require_fusable(bundle)
-    big = concat_fuse(bundle)
-    if sparsity is None:
-        return prune_to_architecture(big, bundle.members[0])
-    return magnitude_prune(big, KeepPolicy.sparsity(sparsity))
+    policy = (_member_widths(bundle.members[0]) if sparsity is None
+              else KeepPolicy.sparsity(sparsity))
+    return prune_concat(bundle.members, policy)
 
 
-def _pairwise_reduce(a: Network, b: Network, reference: Network) -> Network:
-    from .pruning import prune_to_architecture
-
-    big = concat_fuse(EnsembleBundle([a, b]))
-    return prune_to_architecture(big, reference)
+def _pairwise_reduce(a: Network, b: Network) -> Network:
+    return prune_concat([a, b], _member_widths(a))
 
 
-def fuse_iterative(bundle: EnsembleBundle, plan: Optional[FusionPlan] = None) -> Network:
-    """Fold members left to right with pairwise concat + prune-to-half.
+def fuse_iterative(bundle: EnsembleBundle) -> Network:
+    """Fold members left to right with pairwise NT back to one member's widths.
 
     Later members end up weighted more heavily in the surviving head (the
     last one at 1/2), so the fold order matters and is the bundle order.
-    Only two concatenated models are alive at any point.
+    Only the running result and the next member are alive at any point.
     """
     _require_fusable(bundle)
-    reference = bundle.members[0]
     result = bundle.members[0]
     for nxt in bundle.members[1:]:
-        result = _pairwise_reduce(result, nxt, reference)
+        result = _pairwise_reduce(result, nxt)
     return result
 
 
-def fuse_recursive(bundle: EnsembleBundle, plan: Optional[FusionPlan] = None) -> Network:
-    """Balanced binary reduction of pairwise concat + prune-to-half steps.
+def fuse_recursive(bundle: EnsembleBundle) -> Network:
+    """Balanced binary reduction of pairwise NT steps.
 
     Non-power-of-two k splits left-heavy (ceil(k/2) | floor(k/2)).
     """
     _require_fusable(bundle)
-    reference = bundle.members[0]
 
     def reduce(ms: Sequence[Network]) -> Network:
         if len(ms) == 1:
             return ms[0]
         mid = math.ceil(len(ms) / 2)
-        return _pairwise_reduce(reduce(ms[:mid]), reduce(ms[mid:]), reference)
+        return _pairwise_reduce(reduce(ms[:mid]), reduce(ms[mid:]))
 
     return reduce(bundle.members)
 
@@ -316,9 +322,9 @@ def fuse(bundle: EnsembleBundle, plan: FusionPlan) -> Network:
     if plan.method == "nt":
         return nt_fuse(bundle, plan.sparsity)
     if plan.method == "nt_iterative":
-        return fuse_iterative(bundle, plan)
+        return fuse_iterative(bundle)
     if plan.method == "nt_recursive":
-        return fuse_recursive(bundle, plan)
+        return fuse_recursive(bundle)
     if plan.method == "avg":
         return vanilla_average(bundle)
     if bundle.k != 2:

@@ -315,11 +315,6 @@ class LayerCoupling:
     mode: str
     block: int
 
-    def columns_of(self, unit: int) -> range:
-        if self.mode != "columns":
-            raise InvalidArg("unit has a channel link, not column links")
-        return range(unit * self.block, (unit + 1) * self.block)
-
 
 def hidden_couplings(net: Network) -> list[LayerCoupling]:
     """One coupling per hidden (non-head) Linear/Conv2D layer, in order."""

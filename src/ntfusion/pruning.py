@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,43 +101,187 @@ def _ranked_order(norms: np.ndarray, origins: Optional[np.ndarray]) -> np.ndarra
     return np.lexsort((idx, member, -norms.astype(np.float64)))
 
 
-def _resolve_keep(policy: KeepPolicy, couplings: list[LayerCoupling],
-                  net: Network, include_bias: bool) -> list[np.ndarray]:
-    """Kept (sorted ascending) unit indices per hidden layer."""
-    kept: list[np.ndarray] = []
+def _keep_indices(policy: KeepPolicy, pos: int, layer: int, norms: np.ndarray,
+                  origins: Optional[np.ndarray]) -> np.ndarray:
+    """Kept (sorted ascending) unit indices of one hidden layer, the
+    coupling at position `pos`, from its unit norms and origin labels."""
+    units = len(norms)
+    if policy.mode == "per_member":
+        if origins is None:
+            raise InvalidArg("per-member quotas need origin labels (fuse first)")
+        if len(policy.quotas) != int(origins.max()) + 1:
+            raise InvalidArg("one quota per ensemble member required")
+        chosen = []
+        for j, quota in enumerate(policy.quotas):
+            mine = np.flatnonzero(origins == j)
+            if quota > len(mine):
+                raise InvalidArg(f"quota {quota} exceeds member {j} width {len(mine)}")
+            order = mine[np.lexsort((mine, -norms[mine].astype(np.float64)))]
+            chosen.append(order[:quota])
+        keep_idx = np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=np.int64)
+    else:
+        if policy.mode == "sparsity":
+            keep = max(1, units - math.floor(policy.value * units))
+        else:
+            keep = policy.counts[pos]
+            if keep > units:
+                raise InvalidArg(f"keep count {keep} exceeds layer width {units}")
+        if keep < 1:
+            raise EmptyLayer(f"layer {layer} would keep {keep} units")
+        keep_idx = np.sort(_ranked_order(norms, origins)[:keep])
+    if len(keep_idx) < 1:
+        raise EmptyLayer(f"layer {layer} would be emptied")
+    return keep_idx
+
+
+def _concat_norms(sources: Sequence[Network], c: LayerCoupling, stacked: bool,
+                  include_bias: bool) -> np.ndarray:
+    """Row L2 norms of layer `c.layer` of the sources' concatenation, bit for
+    bit, without building it.
+
+    `stacked` marks the input-connected layer, whose concatenation only stacks
+    member rows. An interior member row sits at its member's column offset
+    among zeros, and einsum rounds such a padded row differently from the
+    bare row, so each member's rows are laid into one zeroed buffer of the
+    wide width (1/k of the wide layer) and measured there.
+    """
+    k = len(sources)
+    layers = [s.params[c.layer] for s in sources]
+    if stacked or k == 1:
+        return np.concatenate([row_l2_norms(p["weight"], p["bias"], include_bias)
+                               for p in layers])
+    n = layers[0]["weight"][0].size
+    buf = np.zeros((c.units, k * n), dtype=np.float32)
+    norms = []
+    for j, p in enumerate(layers):
+        if j:
+            buf[:, (j - 1) * n : j * n] = 0.0
+        buf[:, j * n : (j + 1) * n] = p["weight"].reshape(c.units, n)
+        norms.append(row_l2_norms(buf, p["bias"], include_bias))
+    return np.concatenate(norms)
+
+
+def _concat_origins(sources: Sequence[Network], c: LayerCoupling) -> Optional[np.ndarray]:
+    """Origin labels of layer `c.layer` in the sources' concatenation."""
+    if len(sources) > 1:
+        return np.repeat(np.arange(len(sources)), c.units)
+    origins = sources[0].origins
+    return origins.get(c.layer) if origins else None
+
+
+def _member_slices(kept: np.ndarray, units: int, k: int) -> list[tuple[slice, np.ndarray]]:
+    """Split sorted concatenation unit ids j*units + u into, per member j,
+    the output positions it fills and its own unit indices u."""
+    bounds = np.searchsorted(kept, np.arange(k + 1) * units).tolist()
+    return [(slice(bounds[j], bounds[j + 1]), kept[bounds[j] : bounds[j + 1]] - j * units)
+            for j in range(k)]
+
+
+def _take(w: np.ndarray, rows: Optional[np.ndarray], cols: Optional[np.ndarray]) -> np.ndarray:
+    if rows is None:
+        return w[:, cols]
+    if cols is None:
+        return w[rows]
+    return w[np.ix_(rows, cols)]
+
+
+def gather_units(sources: Sequence[Network], kept: list[np.ndarray]) -> Network:
+    """The network that keeps units `kept` of the layer-wise concatenation of
+    `sources` (as `fusion.concat_fuse` builds it), gathered straight from the
+    sources.
+
+    `kept[pos]` holds the sorted concatenation ids j*m + u of the units kept
+    in hidden coupling `pos`, where m is the member width. A kept unit takes
+    its member's row, bias and BN channel, and the next layer's input slice
+    of the same member; weights linking units of different members are zero.
+    The head is the concatenation of the members' kept columns scaled by 1/k
+    with the mean member bias, and a head-only chain is the mean of the heads.
+    With one source this is structured pruning of that network. All output
+    tensors are fresh arrays, bit-identical to the concatenation's; origin
+    labels are left to the caller.
+    """
+    k = len(sources)
+    couplings = hidden_couplings(sources[0])
+    rows: dict[int, list] = {}  # unit layer -> per-member (out slice, unit ids)
+    cols: dict[int, tuple[list, LayerCoupling]] = {}  # next layer -> (slices, coupling)
+    bn_of: dict[int, int] = {}  # batchnorm layer -> its unit layer
+    for c, keep_idx in zip(couplings, kept):
+        rows[c.layer] = segs = _member_slices(keep_idx, c.units, k)
+        cols[c.next_layer] = (segs, c)
+        bn_of.update((bi, c.layer) for bi in c.bn_layers)
+
+    specs: list[LayerSpec] = []
+    params: list[dict] = []
+    for i, spec in enumerate(sources[0].specs):
+        mats = [s.params[i] for s in sources]
+        if spec.kind is LayerKind.BATCHNORM2D:
+            segs = rows[bn_of[i]]
+            p = {key: np.concatenate([m[key][u] for m, (_, u) in zip(mats, segs)])
+                 for key in mats[0]}
+            specs.append(LayerSpec(spec.kind, (len(p["weight"]),)))
+            params.append(p)
+            continue
+        if spec.kind not in UNIT_KINDS:
+            specs.append(spec)
+            params.append({})
+            continue
+        row_segs = rows.get(i)
+        col_segs, feed = cols.get(i, (None, None))
+        w0 = mats[0]["weight"]
+        if row_segs is None and col_segs is None:  # head-only chain: the mean head
+            w = w0.copy()
+            for m in mats[1:]:
+                w += m["weight"]
+        else:
+            n_rows = row_segs[-1][0].stop if row_segs else w0.shape[0]
+            n_cols = col_segs[-1][0].stop * feed.block if col_segs else w0.shape[1]
+            w = np.zeros((n_rows, n_cols, *w0.shape[2:]), dtype=np.float32)
+            for j, m in enumerate(mats):
+                out_r, src_r = row_segs[j] if row_segs else (slice(None), None)
+                out_c, src_c = slice(None), None
+                if col_segs:  # each unit feeds `block` consecutive columns or one channel
+                    (pos, units), b = col_segs[j], feed.block
+                    out_c = slice(pos.start * b, pos.stop * b)
+                    src_c = (units[:, None] * b + np.arange(b)).ravel()
+                w[out_r, out_c] = _take(m["weight"], src_r, src_c)
+        if row_segs:
+            bias = np.concatenate([m["bias"][u] for m, (_, u) in zip(mats, row_segs)])
+        else:  # the head: bias summed in member order
+            bias = mats[0]["bias"].copy()
+            for m in mats[1:]:
+                bias += m["bias"]
+            if k > 1:
+                w /= np.float32(k)
+                bias /= np.float32(k)
+        fout, fin = w.shape[:2]
+        specs.append(LayerSpec(spec.kind, (fin, fout, *spec.dims[2:])))
+        params.append({"weight": w, "bias": bias})
+    check_specs(specs)
+    return Network(specs, params)
+
+
+def prune_concat(sources: Sequence[Network], policy: KeepPolicy,
+                 include_bias: bool = True) -> Network:
+    """`magnitude_prune` of the layer-wise concatenation of `sources` (which
+    share one architecture), built in memory of the sources plus the result.
+
+    Units are ranked by the norms the concatenation would have, ties broken
+    by its origin labels (member ids; a single source's own labels), and
+    gathered by `gather_units`; the output, origins included, is
+    bit-identical to pruning the concatenated network. One source is plain
+    structured pruning of it.
+    """
+    couplings = hidden_couplings(sources[0])
     if policy.mode == "keep_counts" and len(policy.counts) != len(couplings):
         raise InvalidArg(f"need {len(couplings)} keep counts, got {len(policy.counts)}")
-    for pos, c in enumerate(couplings):
-        p = net.params[c.layer]
-        norms = row_l2_norms(p["weight"], p["bias"], include_bias=include_bias)
-        origins = net.origins.get(c.layer) if net.origins else None
-        if policy.mode == "per_member":
-            if origins is None:
-                raise InvalidArg("per-member quotas need origin labels (fuse first)")
-            if len(policy.quotas) != int(origins.max()) + 1:
-                raise InvalidArg("one quota per ensemble member required")
-            chosen = []
-            for j, quota in enumerate(policy.quotas):
-                mine = np.flatnonzero(origins == j)
-                if quota > len(mine):
-                    raise InvalidArg(f"quota {quota} exceeds member {j} width {len(mine)}")
-                order = mine[np.lexsort((mine, -norms[mine].astype(np.float64)))]
-                chosen.append(order[:quota])
-            keep_idx = np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=np.int64)
-        else:
-            if policy.mode == "sparsity":
-                keep = max(1, c.units - math.floor(policy.value * c.units))
-            else:
-                keep = policy.counts[pos]
-                if keep > c.units:
-                    raise InvalidArg(f"keep count {keep} exceeds layer width {c.units}")
-            if keep < 1:
-                raise EmptyLayer(f"layer {c.layer} would keep {keep} units")
-            keep_idx = np.sort(_ranked_order(norms, origins)[:keep])
-        if len(keep_idx) < 1:
-            raise EmptyLayer(f"layer {c.layer} would be emptied")
-        kept.append(keep_idx)
-    return kept
+    labels = [_concat_origins(sources, c) for c in couplings]
+    kept = [_keep_indices(policy, pos, c.layer,
+                          _concat_norms(sources, c, pos == 0, include_bias), labels[pos])
+            for pos, c in enumerate(couplings)]
+    out = gather_units(sources, kept)
+    out.origins = {c.layer: o[keep] for c, o, keep in zip(couplings, labels, kept)
+                   if o is not None} or None
+    return out
 
 
 def magnitude_prune(net: Network, policy: KeepPolicy, include_bias: bool = True) -> Network:
@@ -147,39 +291,7 @@ def magnitude_prune(net: Network, policy: KeepPolicy, include_bias: bool = True)
 
     Surviving parameters are bit-identical and keep their relative order.
     """
-    couplings = hidden_couplings(net)
-    kept = _resolve_keep(policy, couplings, net, include_bias)
-    out = net.clone()
-    for c, keep_idx in zip(couplings, kept):
-        p = out.params[c.layer]
-        p["weight"] = np.ascontiguousarray(p["weight"][keep_idx])
-        p["bias"] = np.ascontiguousarray(p["bias"][keep_idx])
-        spec = out.specs[c.layer]
-        if spec.kind is LayerKind.LINEAR:
-            out.specs[c.layer] = LayerSpec(spec.kind, (spec.dims[0], len(keep_idx)))
-        else:
-            d = spec.dims
-            out.specs[c.layer] = LayerSpec(spec.kind, (d[0], len(keep_idx), *d[2:]))
-        for bi in c.bn_layers:
-            out.params[bi] = {k: np.ascontiguousarray(v[keep_idx])
-                              for k, v in out.params[bi].items()}
-            out.specs[bi] = LayerSpec(LayerKind.BATCHNORM2D, (len(keep_idx),))
-        nxt = out.params[c.next_layer]
-        nspec = out.specs[c.next_layer]
-        if c.mode == "columns":
-            cols = np.concatenate(
-                [np.arange(u * c.block, (u + 1) * c.block) for u in keep_idx])
-            nxt["weight"] = np.ascontiguousarray(nxt["weight"][:, cols])
-            out.specs[c.next_layer] = LayerSpec(
-                nspec.kind, (len(cols), nspec.dims[1]))
-        else:
-            nxt["weight"] = np.ascontiguousarray(nxt["weight"][:, keep_idx, :, :])
-            d = nspec.dims
-            out.specs[c.next_layer] = LayerSpec(nspec.kind, (len(keep_idx), *d[1:]))
-        if out.origins is not None and c.layer in out.origins:
-            out.origins[c.layer] = out.origins[c.layer][keep_idx]
-    check_specs(out.specs)
-    return out
+    return prune_concat([net], policy, include_bias)
 
 
 def prune_to_architecture(big: Network, reference: Network) -> Network:

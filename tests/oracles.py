@@ -7,10 +7,16 @@ at the end are the slow paths the fast kernels in `ntfusion.layers` replaced.
 
 import numpy as np
 
+import math
+
 from ntfusion import network
+from ntfusion.errors import EmptyLayer, InvalidArg
+from ntfusion.fusion import EnsembleBundle, concat_fuse
 from ntfusion.layers import BN_EPS, BN_MOMENTUM
 from ntfusion.losses import cross_entropy, kd
-from ntfusion.tensor import Array, _col2im, _im2col, conv2d
+from ntfusion.network import LayerKind, LayerSpec, check_specs, hidden_couplings
+from ntfusion.pruning import KeepPolicy
+from ntfusion.tensor import Array, _col2im, _im2col, conv2d, row_l2_norms
 
 
 def rel_error(a, b):
@@ -214,3 +220,136 @@ def maxpool_backward(dout: Array, cache):
     dx = np.zeros(x_shape, dtype=np.float32)
     dx[:, :, : oh * window, : ow * window] = dwin.reshape(b, c, oh * window, ow * window)
     return dx
+
+
+# Structured pruning and pairwise NT as they were before the gather in
+# `ntfusion.pruning` replaced them: prune a copy of the whole network, and
+# fuse pairs by building the concatenated network and pruning it back. The
+# gathered outputs must match these bit for bit, origins included.
+
+
+def _ranked_order(norms, origins):
+    idx = np.arange(len(norms))
+    member = origins if origins is not None else np.zeros(len(norms), dtype=np.int64)
+    return np.lexsort((idx, member, -norms.astype(np.float64)))
+
+
+def _resolve_keep(policy, couplings, net, include_bias):
+    kept = []
+    if policy.mode == "keep_counts" and len(policy.counts) != len(couplings):
+        raise InvalidArg(f"need {len(couplings)} keep counts, got {len(policy.counts)}")
+    for pos, c in enumerate(couplings):
+        p = net.params[c.layer]
+        norms = row_l2_norms(p["weight"], p["bias"], include_bias=include_bias)
+        origins = net.origins.get(c.layer) if net.origins else None
+        if policy.mode == "per_member":
+            if origins is None:
+                raise InvalidArg("per-member quotas need origin labels (fuse first)")
+            if len(policy.quotas) != int(origins.max()) + 1:
+                raise InvalidArg("one quota per ensemble member required")
+            chosen = []
+            for j, quota in enumerate(policy.quotas):
+                mine = np.flatnonzero(origins == j)
+                if quota > len(mine):
+                    raise InvalidArg(f"quota {quota} exceeds member {j} width {len(mine)}")
+                order = mine[np.lexsort((mine, -norms[mine].astype(np.float64)))]
+                chosen.append(order[:quota])
+            keep_idx = np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=np.int64)
+        else:
+            if policy.mode == "sparsity":
+                keep = max(1, c.units - math.floor(policy.value * c.units))
+            else:
+                keep = policy.counts[pos]
+                if keep > c.units:
+                    raise InvalidArg(f"keep count {keep} exceeds layer width {c.units}")
+            if keep < 1:
+                raise EmptyLayer(f"layer {c.layer} would keep {keep} units")
+            keep_idx = np.sort(_ranked_order(norms, origins)[:keep])
+        if len(keep_idx) < 1:
+            raise EmptyLayer(f"layer {c.layer} would be emptied")
+        kept.append(keep_idx)
+    return kept
+
+
+def magnitude_prune(net, policy, include_bias=True):
+    couplings = hidden_couplings(net)
+    kept = _resolve_keep(policy, couplings, net, include_bias)
+    out = net.clone()
+    for c, keep_idx in zip(couplings, kept):
+        p = out.params[c.layer]
+        p["weight"] = np.ascontiguousarray(p["weight"][keep_idx])
+        p["bias"] = np.ascontiguousarray(p["bias"][keep_idx])
+        spec = out.specs[c.layer]
+        if spec.kind is LayerKind.LINEAR:
+            out.specs[c.layer] = LayerSpec(spec.kind, (spec.dims[0], len(keep_idx)))
+        else:
+            d = spec.dims
+            out.specs[c.layer] = LayerSpec(spec.kind, (d[0], len(keep_idx), *d[2:]))
+        for bi in c.bn_layers:
+            out.params[bi] = {k: np.ascontiguousarray(v[keep_idx])
+                              for k, v in out.params[bi].items()}
+            out.specs[bi] = LayerSpec(LayerKind.BATCHNORM2D, (len(keep_idx),))
+        nxt = out.params[c.next_layer]
+        nspec = out.specs[c.next_layer]
+        if c.mode == "columns":
+            cols = np.concatenate(
+                [np.arange(u * c.block, (u + 1) * c.block) for u in keep_idx])
+            nxt["weight"] = np.ascontiguousarray(nxt["weight"][:, cols])
+            out.specs[c.next_layer] = LayerSpec(
+                nspec.kind, (len(cols), nspec.dims[1]))
+        else:
+            nxt["weight"] = np.ascontiguousarray(nxt["weight"][:, keep_idx, :, :])
+            d = nspec.dims
+            out.specs[c.next_layer] = LayerSpec(nspec.kind, (len(keep_idx), *d[1:]))
+        if out.origins is not None and c.layer in out.origins:
+            out.origins[c.layer] = out.origins[c.layer][keep_idx]
+    check_specs(out.specs)
+    return out
+
+
+def prune_to_architecture(big, reference):
+    """Prune to the reference's hidden widths (shape checks left out)."""
+    counts = [c.units for c in hidden_couplings(reference)]
+    return magnitude_prune(big, KeepPolicy.keep_counts(counts))
+
+
+def _pairwise_reduce(a, b, reference):
+    big = concat_fuse(EnsembleBundle([a, b]))
+    return prune_to_architecture(big, reference)
+
+
+def fuse_iterative(members):
+    reference = members[0]
+    result = members[0]
+    for nxt in members[1:]:
+        result = _pairwise_reduce(result, nxt, reference)
+    return result
+
+
+def fuse_recursive(members):
+    reference = members[0]
+
+    def reduce(ms):
+        if len(ms) == 1:
+            return ms[0]
+        mid = math.ceil(len(ms) / 2)
+        return _pairwise_reduce(reduce(ms[:mid]), reduce(ms[mid:]), reference)
+
+    return reduce(members)
+
+
+def assert_same_network(got, want):
+    """Specs, parameter dtypes, shapes and bytes, and origins all equal."""
+    assert got.specs == want.specs
+    assert len(got.params) == len(want.params)
+    for i, (pg, pw) in enumerate(zip(got.params, want.params)):
+        assert pg.keys() == pw.keys(), f"layer {i}"
+        for key in pg:
+            a, b = pg[key], pw[key]
+            assert a.dtype == b.dtype and a.shape == b.shape, f"layer {i} {key}"
+            assert a.tobytes() == b.tobytes(), f"layer {i} {key} differs"
+    assert (got.origins is None) == (want.origins is None)
+    if got.origins is not None:
+        assert got.origins.keys() == want.origins.keys()
+        for layer in got.origins:
+            np.testing.assert_array_equal(got.origins[layer], want.origins[layer])

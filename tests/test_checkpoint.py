@@ -70,6 +70,39 @@ class TestRoundTrip:
         assert_nets_equal(net, load_checkpoint(path)[0])
 
 
+class TestLoadedTensors:
+    def test_writable_contiguous_aligned_and_bit_exact(self, tmp_path):
+        net = init_network(mixed_specs(2), RngStream(2, "net"))
+        first = net.params[0]["weight"].reshape(-1)
+        first[:4] = [np.float32(-0.0), np.float32(np.inf), np.float32(1e-45), np.float32(np.nan)]
+        path = tmp_path / "t.ntckpt"
+        save_checkpoint(net, path)
+        loaded, _ = load_checkpoint(path)
+        for want, got in zip(net.params, loaded.params):
+            for key in want:
+                arr = got[key]
+                assert arr.dtype == np.float32 and arr.dtype.isnative
+                assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.aligned
+                assert arr.shape == want[key].shape
+                assert arr.tobytes() == want[key].tobytes()
+        loaded.params[0]["weight"][...] = 0.0  # writing one tensor leaves the others
+        assert loaded.params[0]["bias"].tobytes() == net.params[0]["bias"].tobytes()
+
+    def test_huge_declared_architecture_is_rejected_before_reading(self, tmp_path):
+        header = json.dumps({"arch": [{"kind": "linear", "dims": [100000, 100000]}],
+                             "arch_id": "x", "meta": {}}).encode()
+        path = tmp_path / "huge.ntckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + b"\0" * 16)
+        with pytest.raises(PayloadLengthMismatch):
+            load_checkpoint(path)
+
+    def test_header_length_past_end_of_file(self, tmp_path):
+        path = tmp_path / "short.ntckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", 0xFFFFFFFF) + b"{}")
+        with pytest.raises(PayloadLengthMismatch):
+            load_checkpoint(path)
+
+
 class TestCorruption:
     def make_ckpt(self, tmp_path):
         net = init_network([nw.linear(4, 5), nw.relu(), nw.linear(5, 3)],

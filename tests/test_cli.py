@@ -144,3 +144,89 @@ class TestExperimentCommand:
 
         rows = read_csv(workdir / "r" / "report.csv")
         assert any(m == "immediate_acc" for (_, _, _, _, m, _) in rows)
+
+
+def small_spec():
+    return {
+        "name": "bad-spec", "experiment": "pipeline",
+        "dataset": {"kind": "blobs", "n": 60, "classes": 3, "dim": 4,
+                    "spread": 0.5, "seed": 5},
+        "arch": {"type": "mlp", "in_features": 4, "hidden": [8], "classes": 3},
+        "k": 2, "seeds": [1], "train": {"epochs": 1}, "finetune_epochs": 0,
+    }
+
+
+def conv_spec():
+    doc = small_spec()
+    doc["dataset"] = {"kind": "shapes", "n": 40, "classes": 4, "image": 8, "seed": 2}
+    doc["arch"] = {"type": "convnet", "image_hw": [8, 8], "in_channels": 1,
+                   "conv_channels": [2], "classes": 4}
+    return doc
+
+
+REQUIRED = [("name",), ("dataset",), ("arch",), ("dataset", "n"), ("dataset", "classes"),
+            ("dataset", "dim"), ("dataset", "spread"), ("dataset", "seed"),
+            ("arch", "in_features"), ("arch", "hidden"), ("arch", "classes")]
+CONV_REQUIRED = [("arch", "image_hw"), ("arch", "in_channels"), ("arch", "conv_channels"),
+                 ("arch", "classes"), ("dataset", "n"), ("dataset", "seed")]
+WRONG_TYPES = [(("name",), 5), (("dataset",), "blobs"), (("arch",), ["mlp"]),
+               (("dataset", "n"), "60"), (("dataset", "spread"), True),
+               (("arch", "hidden"), 8), (("arch", "hidden"), ["8"]), (("arch", "classes"), 2.5),
+               (("k",), "2"), (("seeds",), 1), (("train",), []), (("train", "epochs"), "1"),
+               (("train", "batch"), 32), (("plan",), 3), (("plan", "sparsity"), "half"),
+               (("finetune_epochs",), 1.5)]
+
+
+def edited(doc, path, value=None, drop=False):
+    target = doc
+    for key in path[:-1]:
+        target = target.setdefault(key, {})
+    if drop:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+class TestBadSpec:
+    def run_spec(self, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code = run(["experiment", "--spec", spec, "--out", tmp_path / "out"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [small_spec, conv_spec])
+    def test_valid_specs_run(self, tmp_path, capsys, make):
+        assert self.run_spec(tmp_path, capsys, make()) == (0, "")
+
+    @pytest.mark.parametrize("path", REQUIRED, ids="/".join)
+    def test_missing_key_exits_2(self, tmp_path, capsys, path):
+        code, err = self.run_spec(tmp_path, capsys, edited(small_spec(), path, drop=True))
+        assert code == 2 and err.startswith("error:") and repr(path[-1]) in err
+
+    @pytest.mark.parametrize("path", CONV_REQUIRED, ids="/".join)
+    def test_missing_conv_key_exits_2(self, tmp_path, capsys, path):
+        code, err = self.run_spec(tmp_path, capsys, edited(conv_spec(), path, drop=True))
+        assert code == 2 and err.startswith("error:") and repr(path[-1]) in err
+
+    @pytest.mark.parametrize("path,value", WRONG_TYPES,
+                             ids=[f"{'/'.join(p)}={v!r}" for p, v in WRONG_TYPES])
+    def test_wrong_type_exits_2(self, tmp_path, capsys, path, value):
+        code, err = self.run_spec(tmp_path, capsys, edited(small_spec(), path, value))
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("doc", [
+        {"dataset": {"kind": "blobs"}, "arch": {"type": "mlp"}},
+        "[1, 2]",
+        "{not json",
+    ])
+    def test_malformed_documents_exit_2(self, tmp_path, capsys, doc):
+        code, err = self.run_spec(tmp_path, capsys, doc)
+        assert code == 2 and err.startswith("error:")
+
+    def test_train_spec_without_dataset_exits_2(self, workdir, capsys):
+        doc = json.loads((workdir / "train.json").read_text())
+        del doc["dataset"]
+        (workdir / "train.json").write_text(json.dumps(doc))
+        assert run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"]) == 2
+        assert capsys.readouterr().err.startswith("error:")

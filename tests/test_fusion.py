@@ -5,9 +5,14 @@ The central check is the ensemble-average oracle: eval-mode forward of the
 concatenated model must equal the uniform mean of member outputs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ntfusion import network as nw
 from ntfusion.errors import ArchMismatch, InvalidArg
 from ntfusion.fusion import (
@@ -23,6 +28,7 @@ from ntfusion.fusion import (
     vanilla_average,
 )
 from ntfusion.network import LayerKind, forward, init_network, permute_units
+from ntfusion.pruning import KeepPolicy, magnitude_prune, prune_to_architecture
 from ntfusion.tensor import RngStream, row_l2_norms
 
 from oracles import rel_error
@@ -49,12 +55,15 @@ def convnet_specs():
     ]
 
 
-def make_members(specs, k, seed, randomize_bn=False):
+def make_members(specs, k, seed, randomize_bn=False, duplicates=False):
+    """k seeded members; `duplicates` gives k copies of one net, which ties
+    every unit norm across members."""
     members = []
     for j in range(k):
-        net = init_network(specs, RngStream(seed, f"member-{j}"))
+        tag = 0 if duplicates else j
+        net = init_network(specs, RngStream(seed, f"member-{tag}"))
         if randomize_bn:
-            rng = RngStream(seed, f"member-bn-{j}")
+            rng = RngStream(seed, f"member-bn-{tag}")
             for i, spec in enumerate(net.specs):
                 if spec.kind is LayerKind.BATCHNORM2D:
                     c = spec.dims[0]
@@ -363,3 +372,113 @@ class TestReductionSchemes:
         for method in ("nt", "nt_iterative", "nt_recursive", "avg", "align"):
             out = fuse(bundle, FusionPlan(method=method))
             assert out.arch_id == bundle.arch_id
+
+
+def conv57_specs():
+    """Odd channel counts on 15x15 inputs, BN after each conv, and a flatten
+    whose block is 3x3 columns per channel."""
+    return [
+        nw.conv(1, 5, 3, padding=1), nw.batchnorm(5), nw.relu(), nw.maxpool(2),
+        nw.conv(5, 7, 3, padding=1), nw.batchnorm(7), nw.relu(), nw.maxpool(2),
+        nw.flatten(), nw.linear(7 * 3 * 3, 9), nw.relu(), nw.linear(9, 4),
+    ]
+
+
+GATHER_ARCHS = {
+    "mlp-odd": lambda: mlp_specs([33, 17, 9, 5]),
+    "mlp-pow2": lambda: mlp_specs([16, 32, 16, 4]),
+    "conv-bn-pool-block4": convnet_specs,
+    "conv57": conv57_specs,
+    "head-only": lambda: [nw.flatten(), nw.linear(6, 3)],
+}
+
+
+def concat_prune_oracle(bundle, sparsity):
+    """Joint NT the way it was computed before the gather: build the
+    concatenated network, then prune it with the pre-gather pruning code."""
+    big = concat_fuse(bundle)
+    if sparsity is None:
+        return oracles.prune_to_architecture(big, bundle.members[0])
+    return oracles.magnitude_prune(big, KeepPolicy.sparsity(sparsity))
+
+
+class TestGatheredNtMatchesConcatOracle:
+    """nt_fuse and the pairwise schemes gather straight from the members; the
+    result must be bit-identical to concatenating and pruning."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    @pytest.mark.parametrize("arch", sorted(GATHER_ARCHS))
+    def test_nt_fuse(self, arch, k):
+        for duplicates in (False, True):
+            bundle = make_members(GATHER_ARCHS[arch](), k, 60 + k, randomize_bn=True,
+                                  duplicates=duplicates)
+            for sparsity in (None, 0.5, 0.9):
+                got = nt_fuse(bundle, sparsity)
+                oracles.assert_same_network(got, concat_prune_oracle(bundle, sparsity))
+            oracles.assert_same_network(
+                nt_fuse(bundle), prune_to_architecture(concat_fuse(bundle), bundle.members[0]))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    @pytest.mark.parametrize("arch", ["mlp-odd", "conv57", "conv-bn-pool-block4"])
+    def test_iterative_and_recursive_match_concat_folds(self, arch, k):
+        for duplicates in (False, True):
+            bundle = make_members(GATHER_ARCHS[arch](), k, 70 + k, randomize_bn=True,
+                                  duplicates=duplicates)
+            oracles.assert_same_network(fuse_iterative(bundle),
+                                        oracles.fuse_iterative(bundle.members))
+            oracles.assert_same_network(fuse_recursive(bundle),
+                                        oracles.fuse_recursive(bundle.members))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 24), min_size=2, max_size=4),
+        k=st.integers(2, 5),
+        sparsity=st.sampled_from([None, 0.0, 0.3, 0.5, 0.9]),
+        duplicates=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_random_mlp_widths(self, widths, k, sparsity, duplicates, seed):
+        bundle = make_members(mlp_specs([*widths, 3]), k, seed, duplicates=duplicates)
+        oracles.assert_same_network(nt_fuse(bundle, sparsity),
+                                    concat_prune_oracle(bundle, sparsity))
+        oracles.assert_same_network(fuse_iterative(bundle),
+                                    oracles.fuse_iterative(bundle.members))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        channels=st.lists(st.integers(1, 7), min_size=1, max_size=2),
+        image=st.integers(8, 13),
+        k=st.integers(2, 4),
+        sparsity=st.sampled_from([None, 0.5, 0.9]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_random_conv_widths(self, channels, image, k, sparsity, seed):
+        specs, cin, hw = [], 1, image
+        for c in channels:
+            specs += [nw.conv(cin, c, 3, padding=1), nw.batchnorm(c), nw.relu(), nw.maxpool(2)]
+            cin, hw = c, hw // 2
+        specs += [nw.flatten(), nw.linear(cin * hw * hw, 3)]
+        bundle = make_members(specs, k, seed, randomize_bn=True)
+        oracles.assert_same_network(nt_fuse(bundle, sparsity),
+                                    concat_prune_oracle(bundle, sparsity))
+
+    def test_memory_stays_below_the_concatenation(self):
+        bundle = make_members(mlp_specs([64, 128, 128, 10]), 8, 80)
+        wide_bytes = concat_fuse(bundle).num_bytes()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nt_fuse(bundle)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < wide_bytes / 4, f"nt_fuse peaked at {peak} B, concat is {wide_bytes} B"
+
+    def test_output_shares_no_memory_with_members(self):
+        bundle = make_members(convnet_specs(), 2, 81, randomize_bn=True)
+        pruned = magnitude_prune(bundle.members[0], KeepPolicy.sparsity(0.0))
+        for fused in (nt_fuse(bundle, 0.0), pruned):
+            for m in bundle.members:
+                for pf, pm in zip(fused.params, m.params):
+                    for key in pf:
+                        assert not np.shares_memory(pf[key], pm[key])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ntfusion import network as nw
 from ntfusion.errors import ArchIncompatible, EmptyLayer, InvalidArg
 from ntfusion.fusion import EnsembleBundle, concat_fuse
@@ -11,6 +12,7 @@ from ntfusion.pruning import (
     KeepPolicy,
     build_prune_groups,
     magnitude_prune,
+    prune_concat,
     prune_to_architecture,
 )
 from ntfusion.tensor import RngStream
@@ -232,3 +234,52 @@ class TestPruneToArchitecture:
                                  nw.linear(2 * 36, 3)], RngStream(26, "c"))
         with pytest.raises(ArchIncompatible):
             prune_to_architecture(a, conv_net)
+
+
+def conv_hidden_specs():
+    """conv+BN+pool, a flatten block of 16 columns, and two hidden Linear
+    layers; every hidden layer is 6 wide so per-member quotas apply."""
+    return [nw.conv(1, 6, 3, padding=1), nw.batchnorm(6), nw.relu(), nw.maxpool(2),
+            nw.flatten(), nw.linear(6 * 4 * 4, 6), nw.relu(), nw.linear(6, 6), nw.relu(),
+            nw.linear(6, 3)]
+
+
+class TestPruneConcat:
+    """Every keep policy, through the gather, against the pre-gather pruning
+    of the concatenated network (`oracles.magnitude_prune`)."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_policies_match_pruning_the_concatenation(self, k):
+        members = [init_network(conv_hidden_specs(), RngStream(30 + j, "pc")) for j in range(k)]
+        big = concat_fuse(EnsembleBundle(members))
+        quotas = [6 // k + (1 if j < 6 % k else 0) for j in range(k)]
+        cases = [
+            (KeepPolicy.per_member(quotas), True),
+            (KeepPolicy.per_member([1] * k), True),
+            (KeepPolicy.sparsity(0.5), False),
+            (KeepPolicy.keep_counts([5, 1, 6 * k]), True),
+        ]
+        for policy, include_bias in cases:
+            oracles.assert_same_network(
+                prune_concat(members, policy, include_bias),
+                oracles.magnitude_prune(big, policy, include_bias))
+
+    def test_one_source_matches_pre_gather_prune(self):
+        for seed in range(20):
+            specs = conv_hidden_specs() if seed % 2 else mlp_specs([7, 11, 5, 3])
+            net = init_network(specs, RngStream(seed, "one"))
+            for s in (0.0, 0.3, 0.7):
+                oracles.assert_same_network(magnitude_prune(net, KeepPolicy.sparsity(s)),
+                                            oracles.magnitude_prune(net, KeepPolicy.sparsity(s)))
+        fused = concat_fuse(EnsembleBundle([init_network(conv_hidden_specs(), RngStream(s, "o"))
+                                            for s in (1, 2)]))
+        for policy in (KeepPolicy.sparsity(0.5), KeepPolicy.per_member([2, 4])):
+            oracles.assert_same_network(magnitude_prune(fused, policy),
+                                        oracles.magnitude_prune(fused, policy))
+
+    def test_quota_count_mismatch_rejected(self):
+        members = [init_network(mlp_specs([5, 8, 3]), RngStream(s, "m")) for s in (1, 2)]
+        with pytest.raises(InvalidArg):
+            prune_concat(members, KeepPolicy.per_member([4, 4, 4]))
+        with pytest.raises(InvalidArg):
+            prune_concat(members, KeepPolicy.keep_counts([4, 4]))

@@ -36,17 +36,15 @@ from .network import (
     batchnorm,
     conv,
     flatten,
-    flatten_index_map,
     forward,
     init_network,
     linear,
     maxpool,
     relu,
-    unit_views,
 )
-from .pruning import KeepPolicy, PruneGroup, build_prune_groups, magnitude_prune, prune_to_architecture
+from .pruning import KeepPolicy, magnitude_prune, prune_to_architecture
 from .tensor import RngStream, conv2d, matmul, row_l2_norms
-from .training import History, KdConfig, StepDecay, TrainConfig, distill, evaluate, kd_loss, train
+from .training import History, KdConfig, StepDecay, TrainConfig, distill, evaluate, train
 
 __version__ = "0.1.0"
 
@@ -55,9 +53,8 @@ __all__ = [
     "synth_shapes", "train_test_split", "NTError", "EnsembleBundle", "FusionPlan", "align_average",
     "concat_fuse", "fuse", "fuse_iterative", "fuse_recursive", "nt_fuse",
     "transplant_fraction", "vanilla_average", "LayerKind", "LayerSpec", "Network",
-    "batchnorm", "conv", "flatten", "flatten_index_map", "forward", "init_network",
-    "linear", "maxpool", "relu", "unit_views", "KeepPolicy", "PruneGroup",
-    "build_prune_groups", "magnitude_prune", "prune_to_architecture", "RngStream",
+    "batchnorm", "conv", "flatten", "forward", "init_network", "linear", "maxpool",
+    "relu", "KeepPolicy", "magnitude_prune", "prune_to_architecture", "RngStream",
     "conv2d", "matmul", "row_l2_norms", "History", "KdConfig", "StepDecay",
-    "TrainConfig", "distill", "evaluate", "kd_loss", "train",
+    "TrainConfig", "distill", "evaluate", "train",
 ]

@@ -19,7 +19,7 @@ from .fusion import EnsembleBundle, FusionPlan, fuse
 from .network import init_network
 from .pruning import KeepPolicy, magnitude_prune
 from .tensor import RngStream
-from .training import KdConfig, distill, evaluate, train
+from .training import KdConfig, TrainConfig, distill, evaluate, train
 
 _METHODS = {"nt": "nt", "nt-iter": "nt_iterative", "nt-rec": "nt_recursive",
             "avg": "avg", "align": "align"}
@@ -152,8 +152,6 @@ def _cmd_distill(args) -> int:
     student, _ = load_checkpoint(args.student)
     teachers = EnsembleBundle([load_checkpoint(p)[0] for p in args.teachers])
     train_ds, test_ds = build_dataset(_load_descriptor(args.data))
-    from .training import TrainConfig
-
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr).reseeded(args.seed)
     kd = KdConfig(temperature=args.temperature, soft_weight=args.soft_weight)
     student, history = distill(student, teachers, train_ds, test_ds, cfg, kd)

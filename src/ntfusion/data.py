@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from .tensor import Array, RngStream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -84,23 +86,50 @@ def load_idx(images_path, labels_path, num_classes: int | None = None,
 
 
 def load_csv(path, num_classes: int | None = None, split_tag: str = "train") -> Dataset:
-    """CSV with an optional header row; the final column is the integer label."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    """CSV with an optional header row; the final column is the integer label.
+
+    Text that is not UTF-8, a non-numeric cell, a value that is not a finite
+    float32, a row whose width differs from the first data row's, or a
+    label outside [0, 2**31) raises InvalidArg naming the path and line.
+    """
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise InvalidArg(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+    features, labels = [], []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         for i, row in enumerate(reader):
             if not row:
                 continue
+            where = f"{path}:{reader.line_num}"
             if i == 0:
                 try:
                     float(row[-1])
                 except ValueError:
                     continue  # header row
-            rows.append(row)
-    if not rows:
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise InvalidArg(f"{where}: {exc}") from exc
+            if not all(abs(v) <= _F32_MAX for v in values):  # NaN fails the test too
+                raise InvalidArg(f"{where}: a value is not a finite float32")
+            if features and len(values) != len(features[0]) + 1:
+                raise InvalidArg(f"{where}: {len(values)} columns, the first data row has "
+                                 f"{len(features[0]) + 1}")
+            label = int(values[-1])
+            if not 0 <= label < 2**31:
+                raise InvalidArg(f"{where}: label {row[-1]!r} is not a class index")
+            features.append(values[:-1])
+            labels.append(label)
+    except csv.Error as exc:
+        raise InvalidArg(f"{path}:{reader.line_num}: {exc}") from exc
+    if not features:
         raise InvalidArg(f"{path}: no data rows")
-    features = np.array([[float(v) for v in r[:-1]] for r in rows], dtype=np.float32)
-    labels = np.array([int(float(r[-1])) for r in rows], dtype=np.int64)
+    features = np.array(features, dtype=np.float32)
+    labels = np.array(labels, dtype=np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     return Dataset(features, labels, num_classes, split_tag)

@@ -30,13 +30,21 @@ from .data import (
     train_test_split,
 )
 from .errors import BadSpec, InvalidArg
-from .fusion import EnsembleBundle, FusionPlan, concat_fuse, fuse, nt_fuse, vanilla_average
+from .fusion import (
+    EnsembleBundle,
+    FusionPlan,
+    align_average,
+    concat_fuse,
+    fuse,
+    nt_fuse,
+    transplant_fraction,
+    vanilla_average,
+)
 from .network import LayerSpec, Network, init_network
 from .pruning import KeepPolicy, magnitude_prune, prune_concat, prune_to_architecture
 from .reporting import RunReport, SeedRecord
 from .tensor import RngStream
-from .training import KdConfig, TrainConfig, distill, evaluate, train
-from .training import average_logits
+from .training import KdConfig, StepDecay, TrainConfig, average_logits, distill, evaluate, train
 
 
 _REQUIRED = object()
@@ -199,8 +207,6 @@ class ExperimentSpec:
 
 
 def _train_config(doc: dict) -> TrainConfig:
-    from .training import StepDecay
-
     doc = _object(doc, "train config")
     batch_doc = _get(doc, "batch", dict, {})
     plan = BatchPlan(
@@ -229,8 +235,15 @@ def _map_seeds(fn, seeds):
         return list(pool.map(fn, seeds))
 
 
-def member_seed(seed: int, j: int) -> int:
-    return seed * 1000 + j
+# Seed streams of one experiment seed: member j trains on stream j; each run
+# after a fusion trains on a fixed stream above every member index.
+FINETUNE_STREAM = 97
+DISTILL_STREAM = 131
+MID_FINETUNE_STREAM = 811
+
+
+def stream_seed(seed: int, stream: int) -> int:
+    return seed * 1000 + stream
 
 
 def train_members(specs: list[LayerSpec], train_ds: Dataset, test_ds: Dataset,
@@ -238,7 +251,7 @@ def train_members(specs: list[LayerSpec], train_ds: Dataset, test_ds: Dataset,
     """Train k members from different inits; returns the bundle and test accs."""
     members, accs, seeds = [], [], []
     for j in range(k):
-        ms = member_seed(seed, j)
+        ms = stream_seed(seed, j)
         net = init_network(specs, RngStream(ms, "init"))
         net, history = train(net, train_ds, test_ds, cfg.reseeded(ms))
         members.append(net)
@@ -265,7 +278,7 @@ def _even_member_quotas(width: int, k: int) -> tuple[int, ...]:
 
 def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
                    test_ds: Dataset, seed: int):
-    """Run the plan's pipeline; returns (net, immediate-ready flag extras)."""
+    """Run the plan's pipeline; returns (fused net, merged_ft_acc series, peak bytes)."""
     reference = bundle.members[0]
     peak = sum(m.num_bytes() for m in bundle.members)
     merged_series: list[float] = []
@@ -283,7 +296,8 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
         big = concat_fuse(bundle)
         peak += big.num_bytes() + 4 * sum(c.units for c in nw.hidden_couplings(big))
         mid_epochs = plan.finetune.epochs // 2
-        mid_cfg = replace(plan.finetune, epochs=mid_epochs).reseeded(seed * 1000 + 811)
+        mid_cfg = replace(plan.finetune, epochs=mid_epochs).reseeded(
+            stream_seed(seed, MID_FINETUNE_STREAM))
         big, mid_history = train(big, train_ds, test_ds, mid_cfg)
         merged_series = [r.test_accuracy for r in mid_history.records]
         pruned = (prune_to_architecture(big, reference) if plan.sparsity is None
@@ -301,6 +315,34 @@ def _ft_epochs(plan: FusionPlan) -> int:
     return epochs
 
 
+def _cell(fused: Network, seed: int, metrics: dict[str, float], t0: float,
+          train_ds: Dataset, test_ds: Dataset, ft_cfg: TrainConfig) -> SeedRecord:
+    """One fused model's record: the context `metrics`, its immediate test
+    accuracy and, when `ft_cfg` has epochs, the test accuracy series of
+    fine-tuning it with `ft_cfg` on the seed's fine-tune stream. The wall
+    clock runs from `t0`."""
+    rec = SeedRecord(seed=seed)
+    for name, value in metrics.items():
+        rec.set_metric(name, value)
+    rec.set_metric("immediate_acc", evaluate(fused, test_ds)["accuracy"])
+    if ft_cfg.epochs > 0:
+        _, history = train(fused, train_ds, test_ds,
+                           ft_cfg.reseeded(stream_seed(seed, FINETUNE_STREAM)))
+        rec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
+    rec.wall_seconds = time.perf_counter() - t0
+    return rec
+
+
+def _collect(keys: list, make_report, per_seed) -> list[RunReport]:
+    """One report per key (`make_report(key)`), filled from each seed's
+    (key, record) pairs in seed order."""
+    reports = {key: make_report(key) for key in keys}
+    for pairs in per_seed:
+        for key, rec in pairs:
+            reports[key].records.append(rec)
+    return [reports[key] for key in keys]
+
+
 def run_pipeline(spec: ExperimentSpec) -> RunReport:
     """Train k members per seed, fuse per the plan, fine-tune, and report."""
     specs = build_arch(spec.arch)
@@ -310,18 +352,12 @@ def run_pipeline(spec: ExperimentSpec) -> RunReport:
         t0 = time.perf_counter()
         bundle, member_accs = train_members(specs, train_ds, test_ds, spec.k, seed, spec.train)
         fused, merged_series, peak = _pipeline_fuse(bundle, spec.plan, train_ds, test_ds, seed)
-        rec = SeedRecord(seed=seed)
-        rec.set_metric("ensemble_acc", ensemble_accuracy(bundle.members, test_ds))
-        rec.set_metric("best_member_acc", max(member_accs))
-        rec.set_metric("immediate_acc", evaluate(fused, test_ds)["accuracy"])
-        ft_epochs = _ft_epochs(spec.plan)
-        if ft_epochs > 0:
-            ft_cfg = replace(spec.plan.finetune, epochs=ft_epochs).reseeded(seed * 1000 + 97)
-            _, history = train(fused, train_ds, test_ds, ft_cfg)
-            rec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
+        context = {"ensemble_acc": ensemble_accuracy(bundle.members, test_ds),
+                   "best_member_acc": max(member_accs)}
+        rec = _cell(fused, seed, context, t0, train_ds, test_ds,
+                    replace(spec.plan.finetune, epochs=_ft_epochs(spec.plan)))
         if merged_series:
             rec.set_series("merged_ft_acc", merged_series)
-        rec.wall_seconds = time.perf_counter() - t0
         rec.peak_bytes_estimate = peak
         return rec
 
@@ -335,7 +371,6 @@ def ablation_multimodel(spec: ExperimentSpec, ks=(2, 4, 8),
     specs = build_arch(spec.arch)
     train_ds, test_ds = build_dataset(spec.dataset)
     k_max = max(ks)
-    reports = {(k, m): RunReport(f"{spec.name}-k{k}", m, []) for k in ks for m in methods}
 
     def one_seed(seed: int):
         bundle_all, member_accs = train_members(specs, train_ds, test_ds, k_max, seed, spec.train)
@@ -343,33 +378,18 @@ def ablation_multimodel(spec: ExperimentSpec, ks=(2, 4, 8),
         for k in ks:
             members = bundle_all.members[:k]
             bundle = EnsembleBundle(members, bundle_all.member_seeds[:k])
-            ens = ensemble_accuracy(members, test_ds)
-            best = max(member_accs[:k])
+            context = {"ensemble_acc": ensemble_accuracy(members, test_ds),
+                       "best_member_acc": max(member_accs[:k])}
             for m in methods:
                 t0 = time.perf_counter()
                 fused = fuse(bundle, FusionPlan(method=m, finetune=spec.plan.finetune))
-                rec = SeedRecord(seed=seed)
-                rec.set_metric("ensemble_acc", ens)
-                rec.set_metric("best_member_acc", best)
-                rec.set_metric("immediate_acc", evaluate(fused, test_ds)["accuracy"])
-                if spec.plan.finetune.epochs > 0:
-                    ft_cfg = spec.plan.finetune.reseeded(seed * 1000 + 97)
-                    _, history = train(fused, train_ds, test_ds, ft_cfg)
-                    rec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
-                rec.wall_seconds = time.perf_counter() - t0
-                out.append(((k, m), rec))
+                out.append(((k, m), _cell(fused, seed, context, t0, train_ds, test_ds,
+                                          spec.plan.finetune)))
         return out
 
-    for per_seed in _map_seeds(one_seed, spec.seeds):
-        for key, rec in per_seed:
-            reports[key].records.append(rec)
-    return [reports[(k, m)] for k in ks for m in methods]
-
-
-def _with_hidden(template: dict, hidden: list[int]) -> dict:
-    out = dict(template)
-    out["hidden"] = hidden
-    return out
+    return _collect([(k, m) for k in ks for m in methods],
+                    lambda key: RunReport(f"{spec.name}-k{key[0]}", key[1]),
+                    _map_seeds(one_seed, spec.seeds))
 
 
 def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
@@ -379,15 +399,15 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
     if axis == "width":
         hidden = spec.arch.get("hidden", [64])
         return [
-            run_pipeline(replace_spec(spec, name=f"{spec.name}-width{v}",
-                                      arch=_with_hidden(spec.arch, [int(v)] * len(hidden))))
+            run_pipeline(replace(spec, name=f"{spec.name}-width{v}",
+                                 arch=dict(spec.arch, hidden=[int(v)] * len(hidden))))
             for v in values
         ]
     if axis == "depth":
         width = spec.arch.get("hidden", [64])[0]
         return [
-            run_pipeline(replace_spec(spec, name=f"{spec.name}-depth{v}",
-                                      arch=_with_hidden(spec.arch, [width] * int(v))))
+            run_pipeline(replace(spec, name=f"{spec.name}-depth{v}",
+                                 arch=dict(spec.arch, hidden=[width] * int(v))))
             for v in values
         ]
     if axis == "transplant_fraction":
@@ -396,7 +416,7 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
         reports = []
         recovered = 1.0 - 1.0 / spec.k
         for v in values:
-            rep = run_pipeline(replace_spec(
+            rep = run_pipeline(replace(
                 spec, name=f"{spec.name}-s{v}",
                 plan=replace(spec.plan, method="nt", sparsity=float(v))))
             marker = 1.0 if abs(float(v) - recovered) < 1e-9 else 0.0
@@ -407,50 +427,25 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
     raise InvalidArg(f"unknown sweep axis {axis!r}")
 
 
-def replace_spec(spec: ExperimentSpec, **kw) -> ExperimentSpec:
-    return ExperimentSpec(
-        name=kw.get("name", spec.name),
-        dataset=kw.get("dataset", spec.dataset),
-        arch=kw.get("arch", spec.arch),
-        k=kw.get("k", spec.k),
-        seeds=kw.get("seeds", spec.seeds),
-        train=kw.get("train", spec.train),
-        plan=kw.get("plan", spec.plan),
-        outputs=kw.get("outputs", spec.outputs),
-    )
-
-
 def _transplant_sweep(values, spec: ExperimentSpec) -> list[RunReport]:
-    from .fusion import transplant_fraction
-
     specs = build_arch(spec.arch)
     train_ds, test_ds = build_dataset(spec.dataset)
-    reports = {float(p): RunReport(spec.name, f"p={float(p):g}", []) for p in values}
 
     def one_seed(seed: int):
         bundle, member_accs = train_members(specs, train_ds, test_ds, 2, seed, spec.train)
         recipient, donor = bundle.members
+        context = {"recipient_acc": member_accs[0], "donor_acc": member_accs[1]}
         out = []
         for p in values:
             p = float(p)
             t0 = time.perf_counter()
             mixed = transplant_fraction(recipient, donor, p)
-            rec = SeedRecord(seed=seed)
-            rec.set_metric("recipient_acc", member_accs[0])
-            rec.set_metric("donor_acc", member_accs[1])
-            rec.set_metric("immediate_acc", evaluate(mixed, test_ds)["accuracy"])
-            if spec.plan.finetune.epochs > 0:
-                ft_cfg = spec.plan.finetune.reseeded(seed * 1000 + 97)
-                _, history = train(mixed, train_ds, test_ds, ft_cfg)
-                rec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
-            rec.wall_seconds = time.perf_counter() - t0
-            out.append((p, rec))
+            out.append((p, _cell(mixed, seed, context, t0, train_ds, test_ds,
+                                 spec.plan.finetune)))
         return out
 
-    for per_seed in _map_seeds(one_seed, spec.seeds):
-        for p, rec in per_seed:
-            reports[p].records.append(rec)
-    return [reports[float(p)] for p in values]
+    return _collect([float(p) for p in values], lambda p: RunReport(spec.name, f"p={p:g}"),
+                    _map_seeds(one_seed, spec.seeds))
 
 
 def failure_case(spec: ExperimentSpec) -> RunReport:
@@ -465,17 +460,9 @@ def failure_case(spec: ExperimentSpec) -> RunReport:
         model = bundle.members[0]
         self_bundle = EnsembleBundle([model, model.clone()], [seed, seed])
         fused = nt_fuse(self_bundle)
-        rec = SeedRecord(seed=seed)
-        rec.set_metric("member_acc", accs[0])
-        rec.set_metric("immediate_acc", evaluate(fused, test_ds)["accuracy"])
-        rec.set_metric("avg_self_acc",
-                       evaluate(vanilla_average(self_bundle), test_ds)["accuracy"])
-        if spec.plan.finetune.epochs > 0:
-            ft_cfg = spec.plan.finetune.reseeded(seed * 1000 + 97)
-            _, history = train(fused, train_ds, test_ds, ft_cfg)
-            rec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
-        rec.wall_seconds = time.perf_counter() - t0
-        return rec
+        context = {"member_acc": accs[0],
+                   "avg_self_acc": evaluate(vanilla_average(self_bundle), test_ds)["accuracy"]}
+        return _cell(fused, seed, context, t0, train_ds, test_ds, spec.plan.finetune)
 
     return RunReport(spec.name, "nt_self_fusion", _map_seeds(one_seed, spec.seeds))
 
@@ -489,42 +476,28 @@ def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
     specs = build_arch(spec.arch)
     train_ds, test_ds = build_dataset(spec.dataset)
     labels = list(methods) + ([f"{m}+distill" for m in methods] if kd else [])
-    reports = {m: RunReport(spec.name, m, []) for m in labels}
 
     def one_seed(seed: int):
         bundle, member_accs = train_members(specs, train_ds, test_ds, spec.k, seed, spec.train)
-        ens = ensemble_accuracy(bundle.members, test_ds)
+        context = {"ensemble_acc": ensemble_accuracy(bundle.members, test_ds),
+                   "best_member_acc": max(member_accs)}
         out = []
         for m in methods:
             t0 = time.perf_counter()
             fused = fuse(bundle, FusionPlan(method=m, finetune=spec.plan.finetune))
-            rec = SeedRecord(seed=seed)
-            rec.set_metric("ensemble_acc", ens)
-            rec.set_metric("best_member_acc", max(member_accs))
-            rec.set_metric("immediate_acc", evaluate(fused, test_ds)["accuracy"])
-            ft_cfg = spec.plan.finetune.reseeded(seed * 1000 + 97)
-            if ft_cfg.epochs > 0:
-                _, history = train(fused, train_ds, test_ds, ft_cfg)
-                rec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
-            rec.wall_seconds = time.perf_counter() - t0
+            rec = _cell(fused, seed, context, t0, train_ds, test_ds, spec.plan.finetune)
             out.append((m, rec))
-            if kd is not None:
+            if kd is not None:  # same context and immediate accuracy, distilled instead
                 t0 = time.perf_counter()
-                kd_cfg = spec.plan.finetune.reseeded(seed * 1000 + 131)
-                student, history = distill(fused, bundle, train_ds, test_ds, kd_cfg, kd)
-                krec = SeedRecord(seed=seed)
-                krec.set_metric("ensemble_acc", ens)
-                krec.set_metric("best_member_acc", max(member_accs))
-                krec.set_metric("immediate_acc", evaluate(fused, test_ds)["accuracy"])
+                kd_cfg = spec.plan.finetune.reseeded(stream_seed(seed, DISTILL_STREAM))
+                _, history = distill(fused, bundle, train_ds, test_ds, kd_cfg, kd)
+                krec = SeedRecord(seed=seed, metrics=dict(rec.metrics))
                 krec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
                 krec.wall_seconds = time.perf_counter() - t0
                 out.append((f"{m}+distill", krec))
         return out
 
-    for per_seed in _map_seeds(one_seed, spec.seeds):
-        for m, rec in per_seed:
-            reports[m].records.append(rec)
-    return [reports[m] for m in labels]
+    return _collect(labels, lambda m: RunReport(spec.name, m), _map_seeds(one_seed, spec.seeds))
 
 
 def _one_hidden_net(width: int, in_dim: int, classes: int, seed: int) -> Network:
@@ -545,8 +518,6 @@ def measure_fusion_cost(widths, k: int = 2, in_dim: int = 512, classes: int = 10
     matrix dominates (mirroring how transport-based fusion runs out of
     memory at scale).
     """
-    from .fusion import align_average
-
     rows = []
     for width in widths:
         members = [_one_hidden_net(width, in_dim, classes, seed + j) for j in range(k)]

@@ -29,9 +29,8 @@ from .network import (
     UNIT_KINDS,
     check_specs,
     hidden_couplings,
-    permute_units,
 )
-from .pruning import KeepPolicy, prune_concat
+from .pruning import KeepPolicy, _unit_columns, permute_units, prune_concat
 from .tensor import row_l2_norms
 
 
@@ -189,10 +188,6 @@ def vanilla_average(bundle: EnsembleBundle) -> Network:
     return out
 
 
-def _unit_rows(net: Network, coupling) -> np.ndarray:
-    return net.params[coupling.layer]["weight"].reshape(coupling.units, -1)
-
-
 def align_average(a: Network, b: Network) -> Network:
     """Permute b's units layer by layer to best match a, then average.
 
@@ -203,16 +198,21 @@ def align_average(a: Network, b: Network) -> Network:
     """
     if a.arch_id != b.arch_id:
         raise ArchMismatch("align_average needs identical architectures")
-    aligned = b
-    for coupling in hidden_couplings(a):
-        rows_a = _unit_rows(a, coupling).astype(np.float64)
-        rows_b = _unit_rows(aligned, coupling).astype(np.float64)
+    orders: dict[int, np.ndarray] = {}
+    inputs = None  # b's input columns of the current layer, in the order chosen so far
+    for c in hidden_couplings(a):
+        w_b = b.params[c.layer]["weight"]
+        if inputs is not None:
+            w_b = w_b.take(inputs, axis=1)
+        rows_a = a.params[c.layer]["weight"].reshape(c.units, -1).astype(np.float64)
+        rows_b = w_b.reshape(c.units, -1).astype(np.float64)
         sq_a = (rows_a * rows_a).sum(axis=1)[:, None]
         sq_b = (rows_b * rows_b).sum(axis=1)[None, :]
         cost = sq_a + sq_b - 2.0 * rows_a @ rows_b.T
         _, order = linear_sum_assignment(cost)
-        aligned = permute_units(aligned, coupling.layer, order)
-    return vanilla_average(EnsembleBundle([a, aligned]))
+        orders[c.layer] = order
+        inputs = _unit_columns(order, c.block)
+    return vanilla_average(EnsembleBundle([a, permute_units(b, orders)]))
 
 
 def transplant_fraction(recipient: Network, donor: Network, p: float,
@@ -251,14 +251,10 @@ def transplant_fraction(recipient: Network, donor: Network, p: float,
         for bi in c.bn_layers:
             for key in out.params[bi]:
                 out.params[bi][key][slots] = donor.params[bi][key][donors]
-    for c, slots, donors in moves:  # outgoing slices in the next layer
+    for c, slots, donors in moves:  # outgoing column blocks or channels in the next layer
         dst, src = out.params[c.next_layer], donor.params[c.next_layer]
-        if c.mode == "columns":
-            dcols = np.concatenate([np.arange(u * c.block, (u + 1) * c.block) for u in slots])
-            scols = np.concatenate([np.arange(u * c.block, (u + 1) * c.block) for u in donors])
-            dst["weight"][:, dcols] = src["weight"][:, scols]
-        else:
-            dst["weight"][:, slots, :, :] = src["weight"][:, donors, :, :]
+        dst["weight"][:, _unit_columns(slots, c.block)] = \
+            src["weight"][:, _unit_columns(donors, c.block)]
     if copy_head:
         head = len(recipient.specs) - 1
         out.params[head] = {k: v.copy() for k, v in donor.params[head].items()}

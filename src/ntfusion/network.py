@@ -1,4 +1,4 @@
-"""Sequential networks: layer specs, parameters, passes, and unit views.
+"""Sequential networks: layer specs, parameters, passes, and unit couplings.
 
 A network is an ordered list of layer specs plus a parallel list of parameter
 dicts. Supported layer kinds are Linear, Conv2D, BatchNorm2D, MaxPool2D,
@@ -173,9 +173,6 @@ class Network:
             origins,
         )
 
-    def num_params(self) -> int:
-        return sum(v.size for p in self.params for v in p.values())
-
     def num_bytes(self) -> int:
         return sum(v.nbytes for p in self.params for v in p.values())
 
@@ -291,14 +288,6 @@ def backward(net: Network, batch: Array, targets, loss: str = "cross_entropy",
     return value, backprop(net, caches, dlogits)
 
 
-def flatten_index_map(channels: int, h: int, w: int) -> dict[int, range]:
-    """Channel-major flat ranges: channel c covers [c*h*w, (c+1)*h*w)."""
-    if min(channels, h, w) < 1:
-        raise InvalidArg("extents must be positive")
-    hw = h * w
-    return {c: range(c * hw, (c + 1) * hw) for c in range(channels)}
-
-
 @dataclass(frozen=True)
 class LayerCoupling:
     """Structural links of one hidden unit layer.
@@ -343,57 +332,4 @@ def hidden_couplings(net: Network) -> list[LayerCoupling]:
             if nspec.dims[0] != units:
                 raise ShapeMismatch(f"layer {nxt}: conv wants {nspec.dims[0]} channels, gets {units}")
             out.append(LayerCoupling(li, units, tuple(bn), nxt, "channel", 1))
-    return out
-
-
-@dataclass(frozen=True)
-class UnitView:
-    """One hidden unit: its incoming row, coupled BN channel, and the slice
-    of the next layer it feeds. Views partition the hidden parameters."""
-
-    layer_index: int
-    unit_index: int
-    bn_layers: tuple[int, ...]
-    next_layer: int
-    out_mode: str  # "columns" | "channel"
-    out_columns: tuple[int, int]  # half-open range (columns) or (ch, ch+1)
-
-
-def unit_views(net: Network) -> list[UnitView]:
-    views = []
-    for c in hidden_couplings(net):
-        for u in range(c.units):
-            if c.mode == "columns":
-                span = (u * c.block, (u + 1) * c.block)
-            else:
-                span = (u, u + 1)
-            views.append(UnitView(c.layer, u, c.bn_layers, c.next_layer, c.mode, span))
-    return views
-
-
-def permute_units(net: Network, layer_index: int, order) -> Network:
-    """Reorder one hidden layer's units (rows, bias, BN channels, and the
-    matching next-layer inputs); the function the network computes is
-    unchanged."""
-    order = np.asarray(order, dtype=np.int64)
-    matching = [c for c in hidden_couplings(net) if c.layer == layer_index]
-    if not matching:
-        raise InvalidArg(f"layer {layer_index} is not a hidden unit layer")
-    c = matching[0]
-    if sorted(order.tolist()) != list(range(c.units)):
-        raise InvalidArg("order must be a permutation of the layer's units")
-    out = net.clone()
-    p = out.params[c.layer]
-    p["weight"] = np.ascontiguousarray(p["weight"][order])
-    p["bias"] = np.ascontiguousarray(p["bias"][order])
-    for bi in c.bn_layers:
-        out.params[bi] = {k: np.ascontiguousarray(v[order]) for k, v in out.params[bi].items()}
-    np_ = out.params[c.next_layer]
-    if c.mode == "columns":
-        cols = np.concatenate([np.arange(u * c.block, (u + 1) * c.block) for u in order])
-        np_["weight"] = np.ascontiguousarray(np_["weight"][:, cols])
-    else:
-        np_["weight"] = np.ascontiguousarray(np_["weight"][:, order, :, :])
-    if out.origins is not None and layer_index in out.origins:
-        out.origins[layer_index] = out.origins[layer_index][order]
     return out

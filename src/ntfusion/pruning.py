@@ -1,6 +1,7 @@
-"""Structured magnitude pruning: rank units by L2 norm and rebuild a
-genuinely smaller network, removing each unit's row/filter, bias, BN channel,
-and downstream input slice together."""
+"""Structured unit selection: rank units by L2 norm and rebuild a genuinely
+smaller network, and reorder units, through one coupled gather that moves
+each unit's row/filter, bias, BN channel, and downstream input slice
+together."""
 
 from __future__ import annotations
 
@@ -21,17 +22,6 @@ from .network import (
     hidden_couplings,
 )
 from .tensor import row_l2_norms
-
-
-@dataclass(frozen=True)
-class PruneGroup:
-    """One hidden unit with its saliency and (if known) ensemble origin."""
-
-    layer_index: int
-    unit_index: int
-    norm: float
-    origin_member: Optional[int]
-    origin_index: int
 
 
 @dataclass(frozen=True)
@@ -61,37 +51,6 @@ class KeepPolicy:
     @staticmethod
     def per_member(quotas) -> "KeepPolicy":
         return KeepPolicy("per_member", quotas=tuple(int(q) for q in quotas))
-
-
-def _origin_indices(origins: np.ndarray) -> np.ndarray:
-    """Rank of each unit within its own member (order-preserving cumcount)."""
-    out = np.zeros(len(origins), dtype=np.int64)
-    seen: dict[int, int] = {}
-    for u, m in enumerate(origins.tolist()):
-        out[u] = seen.get(m, 0)
-        seen[m] = out[u] + 1
-    return out
-
-
-def build_prune_groups(net: Network, include_bias: bool = True) -> dict[int, list[PruneGroup]]:
-    """Wrap every hidden unit with its L2 norm; the output layer is excluded."""
-    groups: dict[int, list[PruneGroup]] = {}
-    for c in hidden_couplings(net):
-        p = net.params[c.layer]
-        norms = row_l2_norms(p["weight"], p["bias"], include_bias=include_bias)
-        origins = net.origins.get(c.layer) if net.origins else None
-        within = _origin_indices(origins) if origins is not None else np.arange(c.units)
-        groups[c.layer] = [
-            PruneGroup(
-                layer_index=c.layer,
-                unit_index=u,
-                norm=float(norms[u]),
-                origin_member=int(origins[u]) if origins is not None else None,
-                origin_index=int(within[u]),
-            )
-            for u in range(c.units)
-        ]
-    return groups
 
 
 def _ranked_order(norms: np.ndarray, origins: Optional[np.ndarray]) -> np.ndarray:
@@ -170,19 +129,25 @@ def _concat_origins(sources: Sequence[Network], c: LayerCoupling) -> Optional[np
 
 
 def _member_slices(kept: np.ndarray, units: int, k: int) -> list[tuple[slice, np.ndarray]]:
-    """Split sorted concatenation unit ids j*units + u into, per member j,
-    the output positions it fills and its own unit indices u."""
-    bounds = np.searchsorted(kept, np.arange(k + 1) * units).tolist()
+    """Split concatenation unit ids j*units + u, grouped by member j in
+    member order, into, per member, the output positions it fills and its
+    own unit indices u."""
+    bounds = [0, *np.cumsum(np.bincount(kept // units, minlength=k)).tolist()]
     return [(slice(bounds[j], bounds[j + 1]), kept[bounds[j] : bounds[j + 1]] - j * units)
             for j in range(k)]
 
 
+def _unit_columns(units: np.ndarray, block: int) -> np.ndarray:
+    """Next-layer input columns of `units`: unit u feeds u*block .. u*block+block-1."""
+    return (units[:, None] * block + np.arange(block)).ravel()
+
+
 def _take(w: np.ndarray, rows: Optional[np.ndarray], cols: Optional[np.ndarray]) -> np.ndarray:
-    if rows is None:
-        return w[:, cols]
-    if cols is None:
-        return w[rows]
-    return w[np.ix_(rows, cols)]
+    if rows is not None:
+        w = w.take(rows, axis=0)
+    if cols is not None:
+        w = w.take(cols, axis=1)
+    return w
 
 
 def gather_units(sources: Sequence[Network], kept: list[np.ndarray]) -> Network:
@@ -190,15 +155,18 @@ def gather_units(sources: Sequence[Network], kept: list[np.ndarray]) -> Network:
     `sources` (as `fusion.concat_fuse` builds it), gathered straight from the
     sources.
 
-    `kept[pos]` holds the sorted concatenation ids j*m + u of the units kept
-    in hidden coupling `pos`, where m is the member width. A kept unit takes
+    `kept[pos]` holds the concatenation ids j*m + u of the units kept in
+    hidden coupling `pos`, where m is the member width. The ids must be
+    grouped by member j in member order, in any order within a member; the
+    output holds each member's units in the order given. A kept unit takes
     its member's row, bias and BN channel, and the next layer's input slice
     of the same member; weights linking units of different members are zero.
     The head is the concatenation of the members' kept columns scaled by 1/k
     with the mean member bias, and a head-only chain is the mean of the heads.
-    With one source this is structured pruning of that network. All output
-    tensors are fresh arrays, bit-identical to the concatenation's; origin
-    labels are left to the caller.
+    With one source this is structured pruning (sorted ids) or a reordering
+    (a permutation) of that network. All output tensors are fresh arrays,
+    bit-identical to the concatenation's; origin labels are left to the
+    caller.
     """
     k = len(sources)
     couplings = hidden_couplings(sources[0])
@@ -242,7 +210,7 @@ def gather_units(sources: Sequence[Network], kept: list[np.ndarray]) -> Network:
                 if col_segs:  # each unit feeds `block` consecutive columns or one channel
                     (pos, units), b = col_segs[j], feed.block
                     out_c = slice(pos.start * b, pos.stop * b)
-                    src_c = (units[:, None] * b + np.arange(b)).ravel()
+                    src_c = _unit_columns(units, b)
                 w[out_r, out_c] = _take(m["weight"], src_r, src_c)
         if row_segs:
             bias = np.concatenate([m["bias"][u] for m, (_, u) in zip(mats, row_segs)])
@@ -258,6 +226,28 @@ def gather_units(sources: Sequence[Network], kept: list[np.ndarray]) -> Network:
         params.append({"weight": w, "bias": bias})
     check_specs(specs)
     return Network(specs, params)
+
+
+def permute_units(net: Network, orders: dict[int, np.ndarray]) -> Network:
+    """Reorder hidden layers' units: `orders` maps a hidden unit layer to its
+    new unit order, and each unit's row, bias, BN channel and next-layer
+    inputs move together, so the function the network computes is
+    unchanged. A one-source `gather_units` that keeps every unit, in the
+    given order or in place; origin labels follow."""
+    couplings = hidden_couplings(net)
+    widths = {c.layer: c.units for c in couplings}
+    kept = {}
+    for layer, order in orders.items():
+        if layer not in widths:
+            raise InvalidArg(f"layer {layer} is not a hidden unit layer")
+        kept[layer] = np.asarray(order, dtype=np.int64)
+        if sorted(kept[layer].tolist()) != list(range(widths[layer])):
+            raise InvalidArg("order must be a permutation of the layer's units")
+    out = gather_units([net], [kept.get(c.layer, np.arange(c.units)) for c in couplings])
+    if net.origins is not None:
+        out.origins = {layer: o[kept[layer]] if layer in kept else o.copy()
+                       for layer, o in net.origins.items()}
+    return out
 
 
 def prune_concat(sources: Sequence[Network], policy: KeepPolicy,

@@ -79,14 +79,6 @@ class EpochRecord:
 class History:
     records: list[EpochRecord] = field(default_factory=list)
 
-    def accuracies(self) -> list[float]:
-        return [r.test_accuracy for r in self.records]
-
-    def best_accuracy(self) -> float:
-        if not self.records:
-            raise InvalidArg("empty history")
-        return max(r.test_accuracy for r in self.records)
-
 
 def evaluate(net: Network, ds: Dataset, batch_size: int = 256) -> dict[str, float]:
     """Eval-mode accuracy (argmax, first index wins ties) and mean loss."""
@@ -100,13 +92,6 @@ def evaluate(net: Network, ds: Dataset, batch_size: int = 256) -> dict[str, floa
         correct += int((np.argmax(logits, axis=1) == y).sum())
         loss_sum += float(losses.cross_entropy_per_sample(logits, y).sum(dtype=np.float64))
     return {"accuracy": correct / n, "mean_loss": loss_sum / n}
-
-
-def kd_loss(student_logits: Array, teacher_logits: Array, labels, kd: KdConfig) -> float:
-    """Soft-target KL at temperature T (scaled by T^2) plus hard cross-entropy."""
-    value, _ = losses.kd(student_logits, teacher_logits, labels,
-                         kd.temperature, kd.soft_weight, kd.hard_weight)
-    return value
 
 
 def _sgd_state(net: Network):

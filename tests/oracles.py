@@ -6,12 +6,13 @@ at the end are the slow paths the fast kernels in `ntfusion.layers` replaced.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 import math
 
 from ntfusion import network
 from ntfusion.errors import EmptyLayer, InvalidArg
-from ntfusion.fusion import EnsembleBundle, concat_fuse
+from ntfusion.fusion import EnsembleBundle, concat_fuse, vanilla_average
 from ntfusion.layers import BN_EPS, BN_MOMENTUM
 from ntfusion.losses import cross_entropy, kd
 from ntfusion.network import LayerKind, LayerSpec, check_specs, hidden_couplings
@@ -336,6 +337,51 @@ def fuse_recursive(members):
         return _pairwise_reduce(reduce(ms[:mid]), reduce(ms[mid:]), reference)
 
     return reduce(members)
+
+
+def permute_units(net, layer_index, order):
+    """`permute_units` as it was before it became a one-source gather: copy
+    the network, then reindex the layer's rows, bias, BN channels and the
+    next layer's column blocks or channels by hand."""
+    order = np.asarray(order, dtype=np.int64)
+    matching = [c for c in hidden_couplings(net) if c.layer == layer_index]
+    if not matching:
+        raise InvalidArg(f"layer {layer_index} is not a hidden unit layer")
+    c = matching[0]
+    if sorted(order.tolist()) != list(range(c.units)):
+        raise InvalidArg("order must be a permutation of the layer's units")
+    out = net.clone()
+    p = out.params[c.layer]
+    p["weight"] = np.ascontiguousarray(p["weight"][order])
+    p["bias"] = np.ascontiguousarray(p["bias"][order])
+    for bi in c.bn_layers:
+        out.params[bi] = {k: np.ascontiguousarray(v[order]) for k, v in out.params[bi].items()}
+    np_ = out.params[c.next_layer]
+    if c.mode == "columns":
+        cols = np.concatenate([np.arange(u * c.block, (u + 1) * c.block) for u in order])
+        np_["weight"] = np.ascontiguousarray(np_["weight"][:, cols])
+    else:
+        np_["weight"] = np.ascontiguousarray(np_["weight"][:, order, :, :])
+    if out.origins is not None and layer_index in out.origins:
+        out.origins[layer_index] = out.origins[layer_index][order]
+    return out
+
+
+def align_average(a, b):
+    """`align_average` as it was before it permuted once through the gather:
+    permute b's layers one at a time, reading each layer's rows from the
+    network permuted so far."""
+    aligned = b
+    for coupling in hidden_couplings(a):
+        rows_a = a.params[coupling.layer]["weight"].reshape(coupling.units, -1)
+        rows_b = aligned.params[coupling.layer]["weight"].reshape(coupling.units, -1)
+        rows_a, rows_b = rows_a.astype(np.float64), rows_b.astype(np.float64)
+        sq_a = (rows_a * rows_a).sum(axis=1)[:, None]
+        sq_b = (rows_b * rows_b).sum(axis=1)[None, :]
+        cost = sq_a + sq_b - 2.0 * rows_a @ rows_b.T
+        _, order = linear_sum_assignment(cost)
+        aligned = permute_units(aligned, coupling.layer, order)
+    return vanilla_average(EnsembleBundle([a, aligned]))
 
 
 def assert_same_network(got, want):

@@ -230,3 +230,11 @@ class TestBadSpec:
         (workdir / "train.json").write_text(json.dumps(doc))
         assert run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_csv_dataset_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,c,d,label\n0.5,1.5,2.5,3.5,0\n0.5,1.5,oops,3.5,1\n")
+        doc = small_spec()
+        doc["dataset"] = {"kind": "csv", "path": str(data)}
+        code, err = self.run_spec(tmp_path, capsys, doc)
+        assert code == 2 and err.startswith(f"error: {data}:3:")

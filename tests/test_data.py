@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from ntfusion.data import (
     synth_shapes,
     train_test_split,
 )
-from ntfusion.errors import BadMagic, CountMismatch, InvalidArg, TruncatedFile
+from ntfusion.errors import BadMagic, CountMismatch, InvalidArg, NTError, TruncatedFile
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -67,6 +68,23 @@ class TestLoadIdx:
         img, lab = write_idx_pair(tmp_path, raw, [3, 7])
         ds = load_idx(img, lab)
         np.testing.assert_array_equal((ds.features[:, 0] * 255).round().astype(np.uint8), raw)
+
+    # Bytes 0-15 are the images header (magic, n, rows, cols), 16-23 the
+    # labels header (magic, n); pixels and labels past them may be any byte.
+    @given(st.integers(0, 23), st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_header_byte_fuzz_loads_or_raises_nterror(self, index, value):
+        images = np.arange(3 * 2 * 2, dtype=np.uint8).reshape(3, 2, 2)
+        with tempfile.TemporaryDirectory() as d:
+            img, lab = write_idx_pair(Path(d), images, [0, 2, 1])
+            target, at = (img, index) if index < 16 else (lab, index - 16)
+            blob = bytearray(target.read_bytes())
+            blob[at] = value
+            target.write_bytes(bytes(blob))
+            try:
+                load_idx(img, lab)
+            except NTError:
+                pass
 
     def test_mnist_if_present(self):
         root = os.environ.get("NT_MNIST_DIR", "data/mnist")
@@ -199,6 +217,40 @@ class TestCsvAndSplit:
         p = tmp_path / "d.csv"
         p.write_text("0.5,1.5,0\n-1.0,2.0,1\n", encoding="utf-8")
         assert len(load_csv(p)) == 2
+
+    @pytest.mark.parametrize("body,line,needle", [
+        (b"x1,x2,label\n0.5,1.5,0\n0.5,abc,1\n", 3, "abc"),  # non-numeric cell
+        (b"0.5,1.5,0\n-1.0,1\n", 2, "columns"),  # ragged row
+        (b"0.5,1.5,0\n0.5,\xff,1\n", 2, "UTF-8"),  # not UTF-8
+        (b"0.5,1.5,0\n0.5,1.5,nan\n", 2, "float32"),  # NaN label
+        (b"0.5,1.5,inf\n", 1, "float32"),  # inf label
+        (b"0.5,1.5,-1\n", 1, "class index"),  # negative label
+        (b"1e300,1.5,0\n", 1, "float32"),  # feature beyond float32
+    ], ids=["non-numeric", "ragged", "not-utf8", "nan-label", "inf-label", "negative-label",
+            "float32-overflow"])
+    def test_malformed_rows_name_path_and_line(self, tmp_path, body, line, needle):
+        p = tmp_path / "d.csv"
+        p.write_bytes(body)
+        with pytest.raises(InvalidArg) as info:
+            load_csv(p)
+        assert f"{p}:{line}:" in str(info.value) and needle in str(info.value)
+
+    @given(st.lists(st.lists(st.sampled_from(["0", "1", "2.5", "-3", "1e9", "1e40", "nan",
+                                              "inf", "x", "", " 1", '"2"', "\xe9"]),
+                             max_size=4), max_size=5),
+           st.binary(max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_loads_or_raises_nterror(self, rows, junk):
+        blob = "\n".join(",".join(r) for r in rows).encode("utf-8") + junk
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "x.csv"
+            path.write_bytes(blob)
+            try:
+                ds = load_csv(path)
+            except NTError:
+                return
+        assert ds.features.dtype == np.float32 and np.isfinite(ds.features).all()
+        assert len(ds) == len(ds.labels) > 0
 
     def test_split_partitions(self):
         ds = synth_blobs(40, 2, 3, 1.0, seed=6)

@@ -2,6 +2,7 @@
 test_acceptance; these cover wiring, determinism, and structural examples)."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from ntfusion.experiments import (
     failure_case,
     measure_fusion_cost,
     run_pipeline,
-    replace_spec,
 )
 from ntfusion.fusion import FusionPlan
 from ntfusion.network import LayerKind
@@ -36,7 +36,7 @@ def tiny_spec(name="tiny", **kw):
         plan=FusionPlan(method="nt", pipeline="merge_prune_ft",
                         finetune=TrainConfig(epochs=3, lr=0.05, batch=BatchPlan(32))),
     )
-    return replace_spec(spec, **kw) if kw else spec
+    return replace(spec, **kw) if kw else spec
 
 
 class TestBuilders:
@@ -63,6 +63,12 @@ class TestBuilders:
         tr, te = build_dataset({"kind": "shapes", "n": 60, "classes": 4, "image": 10,
                                 "noise": 0.1, "seed": 2})
         assert tr.features.shape[1:] == (1, 10, 10)
+
+    def test_replace_reruns_post_init(self):
+        spec = tiny_spec()
+        renamed = replace(spec, name="other", plan=FusionPlan(method="avg"))
+        assert renamed.name == "other" and renamed.dataset is spec.dataset
+        assert renamed.plan.finetune == replace(spec.train, epochs=30)
 
     def test_spec_from_json_roundtrip(self, tmp_path):
         import json
@@ -212,6 +218,112 @@ class TestCompareMethods:
 
         with pytest.raises(InvalidArg):
             compare_methods(tiny_spec(k=3))
+
+
+def stream_spec(**kw):
+    """Overlapping blobs, so test accuracy moves with the batch order."""
+    return tiny_spec(name="streams", seeds=(2,),
+                     dataset={"kind": "blobs", "n": 300, "classes": 3, "dim": 4,
+                              "spread": 2.0, "seed": 5}, **kw)
+
+
+def accs(history):
+    return [float(np.float32(r.test_accuracy)) for r in history.records]
+
+
+class TestSeedStreams:
+    """Each run after a fusion trains on a fixed stream of the experiment
+    seed: fine-tune seed*1000+97, distillation +131, and the wide model's
+    mid fine-tune +811. The recorded series must match those runs rebuilt
+    by hand, and not the run on a neighbouring stream."""
+
+    def members(self, spec, k):
+        from ntfusion.experiments import train_members
+
+        train_ds, test_ds = build_dataset(spec.dataset)
+        bundle, _ = train_members(build_arch(spec.arch), train_ds, test_ds, k,
+                                  spec.seeds[0], spec.train)
+        return bundle, train_ds, test_ds
+
+    def finetuned(self, net, cfg, offset, data, trainer=None, **kw):
+        from ntfusion.training import train
+
+        train_ds, test_ds = data
+        cfg = cfg.reseeded(2 * 1000 + offset)
+        if trainer is None:
+            return accs(train(net, train_ds, test_ds, cfg)[1])
+        return accs(trainer(net, kw["teachers"], train_ds, test_ds, cfg, kw["kd"])[1])
+
+    def check(self, series, net, cfg, offset, data, **kw):
+        assert series == self.finetuned(net, cfg, offset, data, **kw)
+        assert series != self.finetuned(net, cfg, offset + 1, data, **kw)
+
+    def test_pipeline_finetune(self):
+        from ntfusion.fusion import nt_fuse
+
+        spec = stream_spec()
+        bundle, *data = self.members(spec, 2)
+        rec = run_pipeline(spec).records[0]
+        self.check(rec.series["finetuned_acc"], nt_fuse(bundle), spec.plan.finetune, 97, data)
+
+    def test_pipeline_mid_finetune_and_finetune(self):
+        from ntfusion.fusion import concat_fuse
+        from ntfusion.pruning import prune_to_architecture
+        from ntfusion.training import train
+
+        ft = TrainConfig(epochs=4, lr=0.05, batch=BatchPlan(32))
+        spec = stream_spec(plan=FusionPlan(method="nt", pipeline="merge_ft_prune_ft",
+                                           finetune=ft))
+        bundle, *data = self.members(spec, 2)
+        rec = run_pipeline(spec).records[0]
+        big = concat_fuse(bundle)
+        mid = replace(ft, epochs=2)
+        self.check(rec.series["merged_ft_acc"], big, mid, 811, data)
+        big, _ = train(big, *data, mid.reseeded(2 * 1000 + 811))
+        pruned = prune_to_architecture(big, bundle.members[0])
+        self.check(rec.series["finetuned_acc"], pruned, replace(ft, epochs=2), 97, data)
+
+    def test_multimodel_finetune(self):
+        from ntfusion.fusion import fuse_iterative
+
+        spec = stream_spec()
+        bundle, *data = self.members(spec, 2)
+        rep, = ablation_multimodel(spec, ks=(2,), methods=("nt_iterative",))
+        self.check(rep.records[0].series["finetuned_acc"], fuse_iterative(bundle),
+                   spec.plan.finetune, 97, data)
+
+    def test_transplant_finetune(self):
+        from ntfusion.fusion import transplant_fraction
+
+        spec = stream_spec()
+        bundle, *data = self.members(spec, 2)
+        rep, = ablation_sweep("transplant_fraction", [0.5], spec)
+        self.check(rep.records[0].series["finetuned_acc"],
+                   transplant_fraction(*bundle.members, 0.5), spec.plan.finetune, 97, data)
+
+    def test_failure_finetune(self):
+        from ntfusion.fusion import EnsembleBundle, nt_fuse
+
+        spec = stream_spec()
+        bundle, *data = self.members(spec, 1)
+        model = bundle.members[0]
+        fused = nt_fuse(EnsembleBundle([model, model.clone()]))
+        rec = failure_case(spec).records[0]
+        self.check(rec.series["finetuned_acc"], fused, spec.plan.finetune, 97, data)
+
+    def test_compare_finetune_and_distill(self):
+        from ntfusion.fusion import vanilla_average
+        from ntfusion.training import distill
+
+        spec = stream_spec()
+        kd = KdConfig(temperature=2.0, soft_weight=0.5)
+        bundle, *data = self.members(spec, 2)
+        plain, distilled = compare_methods(spec, methods=("avg",), kd=kd)
+        avg = vanilla_average(bundle)
+        self.check(plain.records[0].series["finetuned_acc"], avg, spec.plan.finetune, 97, data)
+        self.check(distilled.records[0].series["finetuned_acc"], avg, spec.plan.finetune, 131,
+                   data, trainer=distill, teachers=bundle, kd=kd)
+        assert distilled.records[0].metrics == plain.records[0].metrics
 
 
 class TestFusionCost:

@@ -27,8 +27,8 @@ from ntfusion.fusion import (
     transplant_fraction,
     vanilla_average,
 )
-from ntfusion.network import LayerKind, forward, init_network, permute_units
-from ntfusion.pruning import KeepPolicy, magnitude_prune, prune_to_architecture
+from ntfusion.network import LayerKind, forward, init_network
+from ntfusion.pruning import KeepPolicy, magnitude_prune, permute_units, prune_to_architecture
 from ntfusion.tensor import RngStream, row_l2_norms
 
 from oracles import rel_error
@@ -207,8 +207,8 @@ class TestVanillaAverage:
 class TestAlignAverage:
     def test_permuted_copy_recovered_exactly(self):
         net = init_network(mlp_specs([5, 8, 6, 3]), RngStream(19, "a"))
-        permuted = permute_units(net, 0, RngStream(20).permutation(8))
-        permuted = permute_units(permuted, 2, RngStream(21).permutation(6))
+        permuted = permute_units(net, {0: RngStream(20).permutation(8),
+                                       2: RngStream(21).permutation(6)})
         out = align_average(net, permuted)
         for a, b in zip(out.params, net.params):
             for key in a:
@@ -236,8 +236,8 @@ class TestAlignAverage:
 
     def test_conv_alignment_recovers_permutation(self):
         net = make_members(convnet_specs(), 1, seed=25, randomize_bn=True).members[0]
-        permuted = permute_units(net, 0, RngStream(26).permutation(3))
-        permuted = permute_units(permuted, 4, RngStream(27).permutation(4))
+        permuted = permute_units(net, {0: RngStream(26).permutation(3),
+                                       4: RngStream(27).permutation(4)})
         out = align_average(net, permuted)
         x = RngStream(28).normal((10, 1, 8, 8))
         assert rel_error(forward(out, x, "eval"), forward(net, x, "eval")) <= 1e-6
@@ -482,3 +482,76 @@ class TestGatheredNtMatchesConcatOracle:
                 for pf, pm in zip(fused.params, m.params):
                     for key in pf:
                         assert not np.shares_memory(pf[key], pm[key])
+
+
+PERMUTE_ARCHS = {
+    "mlp": lambda: mlp_specs([5, 8, 6, 3]),
+    "conv-bn-pool-block4": convnet_specs,
+    "conv57": conv57_specs,
+}
+
+
+def hidden_layers(net):
+    return [c.layer for c in nw.hidden_couplings(net)]
+
+
+class TestPermuteUnitsMatchesOracle:
+    """`permute_units` is a one-source gather, and `align_average` permutes
+    once through it; both must be bit-identical to the hand-written
+    reindexing they replaced, origins included."""
+
+    def orders(self, net, seed):
+        return {layer: RngStream(seed, f"perm-{layer}").permutation(net.specs[layer].dims[1])
+                for layer in hidden_layers(net)}
+
+    def sequential_oracle(self, net, orders):
+        for layer, order in orders.items():
+            net = oracles.permute_units(net, layer, order)
+        return net
+
+    @pytest.mark.parametrize("arch", sorted(PERMUTE_ARCHS))
+    def test_each_hidden_layer_and_all_at_once(self, arch):
+        net = make_members(PERMUTE_ARCHS[arch](), 1, 90, randomize_bn=True).members[0]
+        orders = self.orders(net, 91)
+        for layer, order in orders.items():
+            oracles.assert_same_network(permute_units(net, {layer: order}),
+                                        oracles.permute_units(net, layer, order))
+        oracles.assert_same_network(permute_units(net, orders),
+                                    self.sequential_oracle(net, orders))
+
+    @pytest.mark.parametrize("arch", sorted(PERMUTE_ARCHS))
+    def test_origins_follow_the_permuted_layers(self, arch):
+        fused = concat_fuse(make_members(PERMUTE_ARCHS[arch](), 2, 92, randomize_bn=True))
+        orders = self.orders(fused, 93)
+        for layer, order in orders.items():
+            got = permute_units(fused, {layer: order})
+            oracles.assert_same_network(got, oracles.permute_units(fused, layer, order))
+            assert got.origins is not fused.origins
+        oracles.assert_same_network(permute_units(fused, orders),
+                                    self.sequential_oracle(fused, orders))
+
+    @pytest.mark.parametrize("arch", sorted(PERMUTE_ARCHS))
+    def test_align_average_matches_the_oracle(self, arch):
+        a, b = make_members(PERMUTE_ARCHS[arch](), 2, 94, randomize_bn=True).members
+        oracles.assert_same_network(align_average(a, b), oracles.align_average(a, b))
+        permuted = permute_units(a, self.orders(a, 95))
+        oracles.assert_same_network(align_average(a, permuted), oracles.align_average(a, permuted))
+
+    def test_bad_orders_rejected(self):
+        net = make_members(convnet_specs(), 1, 96).members[0]
+        with pytest.raises(InvalidArg):
+            permute_units(net, {0: [0, 0, 1]})
+        with pytest.raises(InvalidArg):
+            permute_units(net, {1: [0, 1, 2]})  # a BN layer owns no units
+
+    @settings(max_examples=40, deadline=None)
+    @given(arch=st.sampled_from(sorted(PERMUTE_ARCHS)), seed=st.integers(0, 10_000),
+           data=st.data())
+    def test_random_permutations(self, arch, seed, data):
+        net = make_members(PERMUTE_ARCHS[arch](), 1, seed, randomize_bn=True).members[0]
+        layers = data.draw(st.lists(st.sampled_from(hidden_layers(net)), min_size=1,
+                                    unique=True))
+        orders = {layer: data.draw(st.permutations(range(net.specs[layer].dims[1])))
+                  for layer in layers}
+        oracles.assert_same_network(permute_units(net, orders),
+                                    self.sequential_oracle(net, orders))

@@ -1,4 +1,4 @@
-"""Network structure, forward/backward, and unit-view tests.
+"""Network structure, forward/backward, and unit-coupling tests.
 
 Gradient correctness is checked against a central finite-difference oracle
 (eps=1e-3, relative tolerance 1e-3 at float32 scale).
@@ -10,16 +10,15 @@ import pytest
 from ntfusion import network as nw
 from ntfusion.errors import ShapeMismatch, UnsupportedTopology
 from ntfusion.losses import cross_entropy, softmax
+from ntfusion.layers import flatten_forward
 from ntfusion.network import (
     Network,
     check_specs,
-    flatten_index_map,
     forward,
     hidden_couplings,
     init_network,
-    permute_units,
-    unit_views,
 )
+from ntfusion.pruning import permute_units
 from ntfusion.tensor import RngStream
 
 from oracles import check_gradients, rel_error
@@ -155,12 +154,12 @@ class TestTopology:
             check_specs([nw.conv(1, 3, 3), nw.flatten(), nw.linear(10, 2)])
 
 
-class TestUnitViews:
-    def test_mlp_view_count(self):
+class TestHiddenCouplings:
+    def test_mlp_unit_count(self):
         net = init_network(mlp_specs([784, 512, 512, 10]), RngStream(0, "views"))
-        assert len(unit_views(net)) == 1024
+        assert sum(c.units for c in hidden_couplings(net)) == 1024
 
-    def test_lenet_like_view_count(self):
+    def test_lenet_like_unit_count(self):
         specs = [
             nw.conv(1, 6, 5, padding=2), nw.relu(), nw.maxpool(2),
             nw.conv(6, 16, 5), nw.relu(), nw.maxpool(2),
@@ -170,42 +169,31 @@ class TestUnitViews:
             nw.linear(84, 10),
         ]
         net = init_network(specs, RngStream(1, "views"))
-        assert len(unit_views(net)) == 6 + 16 + 120 + 84
+        assert [c.units for c in hidden_couplings(net)] == [6, 16, 120, 84]
 
-    def test_views_partition_hidden_units(self):
+    def test_units_tile_the_next_layer_inputs(self):
         net = random_convnet(2)
-        views = unit_views(net)
-        per_layer = {}
-        for v in views:
-            per_layer.setdefault(v.layer_index, []).append(v.unit_index)
-        for c in hidden_couplings(net):
-            assert sorted(per_layer[c.layer]) == list(range(c.units))
-        # outgoing column ranges tile the next layer exactly once
-        for c in hidden_couplings(net):
-            if c.mode != "columns":
-                continue
-            spans = [v.out_columns for v in views if v.layer_index == c.layer]
-            covered = sorted(i for lo, hi in spans for i in range(lo, hi))
-            assert covered == list(range(net.specs[c.next_layer].dims[0]))
+        couplings = hidden_couplings(net)
+        assert [c.layer for c in couplings] == [0, 4]
+        for c in couplings:
+            assert c.units == net.specs[c.layer].dims[1]
+            # units * block columns (or one channel each) cover the next layer once
+            assert c.units * c.block == net.specs[c.next_layer].dims[0]
+        assert couplings[0].mode == "channel" and couplings[0].bn_layers == (1,)
 
-    def test_flatten_index_map_trivial(self):
-        assert flatten_index_map(2, 2, 2) == {0: range(0, 4), 1: range(4, 8)}
-        assert flatten_index_map(1, 3, 3) == {0: range(0, 9)}
-
-    def test_flatten_forward_consistency_oracle(self):
-        # forward(flatten(x))[cols of channel] equals x[channel] flattened
+    def test_flatten_block_is_channel_major(self):
+        # flatten(x)[:, block columns of channel ch] equals x[:, ch] flattened
         x = RngStream(3).normal((2, 3, 4, 5))
-        flat = x.reshape(2, -1)
-        for ch, cols in flatten_index_map(3, 4, 5).items():
-            np.testing.assert_array_equal(flat[:, cols.start : cols.stop],
+        flat = flatten_forward(x)[0]
+        for ch in range(3):
+            np.testing.assert_array_equal(flat[:, ch * 20 : (ch + 1) * 20],
                                           x[:, ch].reshape(2, -1))
 
-    def test_conv_outgoing_slice_under_flatten(self):
+    def test_conv_outgoing_block_under_flatten(self):
         net = random_convnet(4)
-        views = [v for v in unit_views(net) if v.layer_index == 4]  # second conv
+        c = hidden_couplings(net)[1]  # second conv, flattened into the head
         hw = net.specs[-1].dims[0] // net.specs[4].dims[1]
-        for v in views:
-            assert v.out_columns == (v.unit_index * hw, (v.unit_index + 1) * hw)
+        assert (c.layer, c.mode, c.block, c.next_layer) == (4, "columns", hw, len(net.specs) - 1)
 
 
 class TestPermuteUnits:
@@ -214,14 +202,14 @@ class TestPermuteUnits:
         x = RngStream(14).normal((3, 1, 8, 8))
         base = forward(net, x, "eval")
         order = RngStream(15).permutation(net.specs[0].dims[1])
-        permuted = permute_units(net, 0, order)
+        permuted = permute_units(net, {0: order})
         assert rel_error(forward(permuted, x, "eval"), base) <= 1e-6
 
     def test_mlp_permutation_exact(self):
         net = init_network(mlp_specs([4, 8, 3]), RngStream(16, "perm"))
         x = RngStream(17).normal((5, 4))
         order = RngStream(18).permutation(8)
-        permuted = permute_units(net, 0, order)
+        permuted = permute_units(net, {0: order})
         np.testing.assert_array_equal(
             permuted.params[0]["weight"], net.params[0]["weight"][order])
         assert rel_error(forward(permuted, x), forward(net, x)) <= 1e-6

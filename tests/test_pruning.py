@@ -10,12 +10,11 @@ from ntfusion.fusion import EnsembleBundle, concat_fuse
 from ntfusion.network import Network, forward, hidden_couplings, init_network
 from ntfusion.pruning import (
     KeepPolicy,
-    build_prune_groups,
     magnitude_prune,
     prune_concat,
     prune_to_architecture,
 )
-from ntfusion.tensor import RngStream
+from ntfusion.tensor import RngStream, row_l2_norms
 
 
 def mlp_specs(dims):
@@ -46,42 +45,44 @@ def sort_oracle_keep(norms, origins, keep):
     return sorted(ranked[:keep])
 
 
-class TestBuildPruneGroups:
+class TestUnitNorms:
+    """The saliency NT ranks by: one L2 norm per hidden unit's incoming row
+    (bias included by default), taken over the hidden layers only."""
+
     def test_hand_norms(self):
         net = single_hidden_net([[3, 4], [0, 0]])
-        groups = build_prune_groups(net, include_bias=False)
-        assert [g.norm for g in groups[0]] == [5.0, 0.0]
+        p = net.params[0]
+        assert row_l2_norms(p["weight"], p["bias"], include_bias=False).tolist() == [5.0, 0.0]
 
     def test_conv_filter_of_ones(self):
-        specs = [nw.conv(1, 1, 3), nw.relu(), nw.flatten(), nw.linear(4, 2)]
-        net = init_network(specs, RngStream(1, "conv"))
-        net.params[0]["weight"] = np.ones((1, 1, 3, 3), np.float32)
-        net.params[0]["bias"] = np.zeros(1, np.float32)
-        groups = build_prune_groups(net)
-        assert groups[0][0].norm == pytest.approx(3.0)
+        norms = row_l2_norms(np.ones((1, 1, 3, 3), np.float32), np.zeros(1, np.float32))
+        assert norms[0] == pytest.approx(3.0)
 
     def test_norms_match_per_unit_recompute_oracle(self):
         net = init_network(mlp_specs([6, 9, 7, 3]), RngStream(2, "g"))
-        groups = build_prune_groups(net)
-        for layer, glist in groups.items():
-            w = net.params[layer]["weight"]
-            b = net.params[layer]["bias"]
-            for g in glist:
-                want = np.sqrt(sum(float(v) ** 2 for v in w[g.unit_index]) +
-                               float(b[g.unit_index]) ** 2)
-                assert g.norm == pytest.approx(want, rel=1e-6)
+        for c in hidden_couplings(net):
+            w = net.params[c.layer]["weight"]
+            b = net.params[c.layer]["bias"]
+            norms = row_l2_norms(w, b)
+            for u in range(c.units):
+                want = np.sqrt(sum(float(v) ** 2 for v in w[u]) + float(b[u]) ** 2)
+                assert norms[u] == pytest.approx(want, rel=1e-6)
 
     def test_output_layer_excluded(self):
         net = init_network(mlp_specs([6, 9, 3]), RngStream(3, "g"))
-        groups = build_prune_groups(net)
-        assert list(groups) == [0]
+        assert [c.layer for c in hidden_couplings(net)] == [0]
+        out = prune_concat([net], KeepPolicy.sparsity(0.5))
+        assert out.specs[-1].dims == (5, 3)
+        np.testing.assert_array_equal(out.params[-1]["bias"], net.params[-1]["bias"])
 
     def test_origin_labels_after_fusion(self):
         bundle = EnsembleBundle([init_network(mlp_specs([4, 3, 2]), RngStream(s, "m"))
                                  for s in (4, 5)])
-        groups = build_prune_groups(concat_fuse(bundle))
-        assert [(g.origin_member, g.origin_index) for g in groups[0]] == [
-            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        big = concat_fuse(bundle)
+        assert big.origins[0].tolist() == [0, 0, 0, 1, 1, 1]
+        for j, member in enumerate(bundle.members):  # member rows keep their order
+            np.testing.assert_array_equal(big.params[0]["weight"][j * 3 : (j + 1) * 3],
+                                          member.params[0]["weight"])
 
 
 class TestMagnitudePrune:
@@ -191,6 +192,12 @@ class TestMagnitudePrune:
         assert out.specs[-1].dims == (2 * 4 * 4, 5)
         x = RngStream(15).normal((3, 1, 8, 8))
         assert forward(out, x).shape == (3, 5)
+        # flatten is channel-major: channel c feeds head columns c*16 .. c*16+15
+        norms = row_l2_norms(net.params[0]["weight"], net.params[0]["bias"])
+        kept = np.sort(np.argsort(-norms, kind="stable")[:2])
+        for slot, ch in enumerate(kept):
+            np.testing.assert_array_equal(out.params[-1]["weight"][:, slot * 16 : (slot + 1) * 16],
+                                          net.params[-1]["weight"][:, ch * 16 : (ch + 1) * 16])
 
 
 class TestPruneToArchitecture:

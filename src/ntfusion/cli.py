@@ -163,24 +163,24 @@ def _cmd_distill(args) -> int:
 
 
 def run_experiment_spec(spec: ExperimentSpec, doc: dict, out_dir: Path) -> list:
+    get, ints = experiments._get, experiments._ints
     kind = doc.get("experiment", "pipeline")
     if kind == "pipeline":
         reports = [experiments.run_pipeline(spec)]
     elif kind == "multimodel":
         reports = experiments.ablation_multimodel(
-            spec, ks=tuple(doc.get("ks", (2, 4, 8))),
-            methods=tuple(doc.get("methods", ("nt", "nt_iterative", "nt_recursive"))))
+            spec, ks=tuple(ints(doc, "ks", [2, 4, 8])),
+            methods=tuple(get(doc, "methods", list, ["nt", "nt_iterative", "nt_recursive"])))
     elif kind == "sweep":
-        reports = experiments.ablation_sweep(experiments._get(doc, "axis", str),
-                                             experiments._get(doc, "values", list), spec)
+        reports = experiments.ablation_sweep(get(doc, "axis", str), get(doc, "values", list), spec)
     elif kind == "failure":
         reports = [experiments.failure_case(spec)]
     elif kind == "compare":
-        kd_doc = doc.get("kd")
-        kd = KdConfig(kd_doc.get("temperature", 2.0), kd_doc.get("soft_weight", 1.0)) \
-            if kd_doc else None
+        kd_doc = get(doc, "kd", dict, None)
+        kd = (KdConfig(get(kd_doc, "temperature", float, 2.0),
+                       get(kd_doc, "soft_weight", float, 1.0)) if kd_doc else None)
         reports = experiments.compare_methods(
-            spec, methods=tuple(doc.get("methods", ("nt", "avg", "align"))), kd=kd)
+            spec, methods=tuple(get(doc, "methods", list, ["nt", "avg", "align"])), kd=kd)
     else:
         raise UsageError(f"unknown experiment kind {kind!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,24 +199,33 @@ def _cmd_experiment(args) -> int:
 
 
 def _reports_from_json(path: Path) -> list[reporting.RunReport]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    get = experiments._get
+    doc = _read_json(path)
     table: dict[tuple[str, str], reporting.RunReport] = {}
     records: dict[tuple[str, str, int], reporting.SeedRecord] = {}
-    for row in doc["rows"]:
-        cell = (row["experiment"], row["method"])
-        table.setdefault(cell, reporting.RunReport(*cell))
-        rkey = (*cell, row["seed"])
-        if rkey not in records:
-            records[rkey] = reporting.SeedRecord(seed=row["seed"])
-            table[cell].records.append(records[rkey])
-        rec = records[rkey]
-        if row["epoch"] == 0:
-            rec.metrics[row["metric"]] = row["value"]
-        else:
-            series = rec.series.setdefault(row["metric"], [])
-            while len(series) < row["epoch"]:
-                series.append(0.0)
-            series[row["epoch"] - 1] = row["value"]
+    try:
+        for row in get(doc, "rows", list):
+            row = experiments._object(row, "report row")
+            cell = (get(row, "experiment", str), get(row, "method", str))
+            seed, epoch = get(row, "seed", int), get(row, "epoch", int)
+            metric, value = get(row, "metric", str), get(row, "value", float)
+            if epoch < 0:
+                raise BadSpec(f"report row epoch must be >= 0, got {epoch}")
+            table.setdefault(cell, reporting.RunReport(*cell))
+            rkey = (*cell, seed)
+            if rkey not in records:
+                records[rkey] = reporting.SeedRecord(seed=seed)
+                table[cell].records.append(records[rkey])
+            rec = records[rkey]
+            if epoch == 0:
+                rec.metrics[metric] = value
+            else:
+                series = rec.series.setdefault(metric, [])
+                while len(series) < epoch:
+                    series.append(0.0)
+                series[epoch - 1] = value
+    except BadSpec as exc:
+        raise BadSpec(f"{path}: {exc}") from exc
     return list(table.values())
 
 

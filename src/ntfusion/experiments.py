@@ -10,12 +10,10 @@ assembled in seed order either way.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -33,10 +31,8 @@ from .errors import BadSpec, InvalidArg
 from .fusion import (
     EnsembleBundle,
     FusionPlan,
-    align_average,
     concat_fuse,
     fuse,
-    nt_fuse,
     transplant_fraction,
     vanilla_average,
 )
@@ -175,12 +171,8 @@ class ExperimentSpec:
             self.plan = replace(self.plan, finetune=replace(self.train, epochs=30))
 
     @staticmethod
-    def from_json(doc) -> "ExperimentSpec":
-        if isinstance(doc, (str, Path)):
-            try:
-                doc = json.loads(Path(doc).read_text(encoding="utf-8"))
-            except ValueError as exc:
-                raise BadSpec(f"spec is not JSON ({exc})") from exc
+    def from_json(doc: dict) -> "ExperimentSpec":
+        """The spec a parsed JSON document describes."""
         doc = _object(doc, "experiment spec")
         train_cfg = _train_config(_get(doc, "train", dict, {}))
         plan_doc = _get(doc, "plan", dict, {})
@@ -282,17 +274,15 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
     reference = bundle.members[0]
     peak = sum(m.num_bytes() for m in bundle.members)
     merged_series: list[float] = []
-    if plan.method in ("avg", "align", "nt_iterative", "nt_recursive"):
+    if plan.method != "nt" or plan.pipeline == "merge_prune_ft":
         fused = fuse(bundle, plan)
-        peak += fused.num_bytes()
-        return fused, merged_series, peak
-    if plan.pipeline == "prune_merge_ft":
+    elif plan.pipeline == "prune_merge_ft":
         member_widths = {c.units for c in nw.hidden_couplings(reference)}
         if len(member_widths) != 1:
             raise InvalidArg("prune_merge_ft needs uniform hidden widths")
         quotas = _even_member_quotas(member_widths.pop(), bundle.k)
-        pruned = prune_concat(bundle.members, KeepPolicy.per_member(quotas))
-    elif plan.pipeline == "merge_ft_prune_ft":
+        fused = prune_concat(bundle.members, KeepPolicy.per_member(quotas))
+    else:  # merge_ft_prune_ft
         big = concat_fuse(bundle)
         peak += big.num_bytes() + 4 * sum(c.units for c in nw.hidden_couplings(big))
         mid_epochs = plan.finetune.epochs // 2
@@ -300,12 +290,10 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
             stream_seed(seed, MID_FINETUNE_STREAM))
         big, mid_history = train(big, train_ds, test_ds, mid_cfg)
         merged_series = [r.test_accuracy for r in mid_history.records]
-        pruned = (prune_to_architecture(big, reference) if plan.sparsity is None
-                  else magnitude_prune(big, KeepPolicy.sparsity(plan.sparsity)))
-    else:  # merge_prune_ft
-        pruned = nt_fuse(bundle, plan.sparsity)
-    peak += pruned.num_bytes()
-    return pruned, merged_series, peak
+        fused = (prune_to_architecture(big, reference) if plan.sparsity is None
+                 else magnitude_prune(big, KeepPolicy.sparsity(plan.sparsity)))
+    peak += fused.num_bytes()
+    return fused, merged_series, peak
 
 
 def _ft_epochs(plan: FusionPlan) -> int:
@@ -368,6 +356,8 @@ def run_pipeline(spec: ExperimentSpec) -> RunReport:
 def ablation_multimodel(spec: ExperimentSpec, ks=(2, 4, 8),
                         methods=("nt", "nt_iterative", "nt_recursive")) -> list[RunReport]:
     """Joint vs iterative vs recursive fusion over growing ensemble sizes."""
+    if not ks:
+        raise InvalidArg("need at least one ensemble size")
     specs = build_arch(spec.arch)
     train_ds, test_ds = build_dataset(spec.dataset)
     k_max = max(ks)
@@ -459,7 +449,7 @@ def failure_case(spec: ExperimentSpec) -> RunReport:
         bundle, accs = train_members(specs, train_ds, test_ds, 1, seed, spec.train)
         model = bundle.members[0]
         self_bundle = EnsembleBundle([model, model.clone()], [seed, seed])
-        fused = nt_fuse(self_bundle)
+        fused = fuse(self_bundle, FusionPlan())
         context = {"member_acc": accs[0],
                    "avg_self_acc": evaluate(vanilla_average(self_bundle), test_ds)["accuracy"]}
         return _cell(fused, seed, context, t0, train_ds, test_ds, spec.plan.finetune)
@@ -530,17 +520,11 @@ def measure_fusion_cost(widths, k: int = 2, in_dim: int = 512, classes: int = 10
             peak = 0
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                if method == "avg":
-                    fused = vanilla_average(bundle)
-                    peak = model_bytes + fused.num_bytes()
-                elif method == "nt":
-                    fused = nt_fuse(bundle)
-                    peak = model_bytes + fused.num_bytes()
-                else:
-                    fused = align_average(members[0], members[1])
+                fused = fuse(bundle, FusionPlan(method=method))
+                peak = model_bytes + fused.num_bytes()
+                if method == "align":  # the cost matrix and the permuted copy
                     cost_bytes = max(c.units ** 2 * 8 for c in nw.hidden_couplings(members[0]))
-                    aligned_copy = members[1].num_bytes()
-                    peak = model_bytes + cost_bytes + aligned_copy + fused.num_bytes()
+                    peak += cost_bytes + members[1].num_bytes()
                 times.append(time.perf_counter() - t0)
             rows.append({
                 "method": method,

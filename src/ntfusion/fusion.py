@@ -1,15 +1,13 @@
 """Ensemble fusion: layer-wise concatenation, averaging baselines, neuron
 transplantation between two models, and pairwise reduction schemes.
 
-The central construction is `concat_fuse`: stack every non-output layer of
-the k members and average the classification heads, with all cross-member
-("cross") weights of interior layers set to zero. In eval mode the fused
-network computes exactly the uniform mean of the member outputs. NT
-(`nt_fuse` and the pairwise schemes) keeps the highest-norm units of that
-network; because the cross weights are zero, the kept units are gathered
-straight from the members (`pruning.prune_concat`) and the wide network is
-never built. `concat_fuse` itself remains for fine-tuning the wide model
-before pruning.
+NT starts from the members' layer-wise concatenation, whose layout
+`pruning.gather_units` defines: every member's hidden units side by side,
+zero weights between members, and the mean head, so that in eval mode it
+computes the mean of the member outputs. `concat_fuse` keeps all of it, for
+fine-tuning the wide model before pruning. NT (`nt_fuse` and the pairwise
+schemes) keeps only its highest-norm units, which `pruning.prune_concat`
+gathers straight from the members without building the wide network.
 """
 
 from __future__ import annotations
@@ -22,15 +20,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ArchMismatch, InvalidArg
-from .network import (
-    LayerKind,
-    LayerSpec,
-    Network,
-    UNIT_KINDS,
-    check_specs,
-    hidden_couplings,
-)
-from .pruning import KeepPolicy, _unit_columns, permute_units, prune_concat
+from .network import Network, hidden_couplings
+from .pruning import KeepPolicy, _unit_columns, gather_units, permute_units, prune_concat
 from .tensor import row_l2_norms
 
 
@@ -81,93 +72,22 @@ class FusionPlan:
 
 
 def _require_fusable(bundle: EnsembleBundle) -> None:
+    """k >= 2; every caller validates the specs through `hidden_couplings`."""
     if bundle.k < 2:
         raise InvalidArg("fusion needs k >= 2 members")
-    check_specs(bundle.members[0].specs)
 
 
 def concat_fuse(bundle: EnsembleBundle) -> Network:
-    """Concatenate non-output layers of all members; average the heads.
-
-    Shapes per member layer kind, with k members:
-      input-connected Linear (m x n)  -> (k*m x n), rows stacked
-      interior Linear       (m x n)   -> (k*m x k*n), member blocks on the
-                                         diagonal, cross weights zero
-      output Linear         (m x n)   -> (m x k*n) = (1/k) * [W1 | ... | Wk],
-                                         bias = mean of member biases
-      Conv2D analogously over channels; BatchNorm2D parameters and running
-      statistics are plain concatenations. Pool/Flatten/ReLU pass through.
-
-    The result carries `origins` labelling every hidden unit with its member.
-    """
+    """The layer-wise concatenation of all members: every hidden unit of every
+    member, cross-member weights zero, and the mean head (the layout
+    `pruning.gather_units` defines). In eval mode it computes the mean of the
+    member outputs. The result labels every hidden unit with its member in
+    `origins`."""
     _require_fusable(bundle)
-    members = bundle.members
     k = bundle.k
-    specs = members[0].specs
-    param_idx = [i for i, s in enumerate(specs) if s.kind in UNIT_KINDS]
-    head = param_idx[-1]
-    first = param_idx[0]
-
-    fused_specs: list[LayerSpec] = []
-    fused_params: list[dict] = []
-    origins: dict[int, np.ndarray] = {}
-    for i, spec in enumerate(specs):
-        mats = [m.params[i] for m in members]
-        if spec.kind is LayerKind.LINEAR:
-            fin, fout = spec.dims
-            if i == head:
-                if i == first:
-                    # Degenerate head-only chain: output averaging over the
-                    # shared input is a plain parameter average.
-                    w = mats[0]["weight"].copy()
-                    for p in mats[1:]:
-                        w += p["weight"]
-                    w /= np.float32(k)
-                    new_spec = LayerSpec(LayerKind.LINEAR, (fin, fout))
-                else:
-                    w = np.concatenate([p["weight"] for p in mats], axis=1) / np.float32(k)
-                    new_spec = LayerSpec(LayerKind.LINEAR, (k * fin, fout))
-                b = mats[0]["bias"].copy()
-                for p in mats[1:]:
-                    b += p["bias"]
-                b /= np.float32(k)
-            elif i == first:
-                w = np.concatenate([p["weight"] for p in mats], axis=0)
-                b = np.concatenate([p["bias"] for p in mats])
-                new_spec = LayerSpec(LayerKind.LINEAR, (fin, k * fout))
-                origins[i] = np.repeat(np.arange(k), fout)
-            else:
-                w = np.zeros((k * fout, k * fin), dtype=np.float32)
-                for j, p in enumerate(mats):
-                    w[j * fout : (j + 1) * fout, j * fin : (j + 1) * fin] = p["weight"]
-                b = np.concatenate([p["bias"] for p in mats])
-                new_spec = LayerSpec(LayerKind.LINEAR, (k * fin, k * fout))
-                origins[i] = np.repeat(np.arange(k), fout)
-            fused_params.append({"weight": np.ascontiguousarray(w), "bias": np.ascontiguousarray(b)})
-            fused_specs.append(new_spec)
-        elif spec.kind is LayerKind.CONV2D:
-            cin, cout, kh, kw, stride, padding = spec.dims
-            if i == first:
-                w = np.concatenate([p["weight"] for p in mats], axis=0)
-                new_spec = LayerSpec(LayerKind.CONV2D, (cin, k * cout, kh, kw, stride, padding))
-            else:
-                w = np.zeros((k * cout, k * cin, kh, kw), dtype=np.float32)
-                for j, p in enumerate(mats):
-                    w[j * cout : (j + 1) * cout, j * cin : (j + 1) * cin] = p["weight"]
-                new_spec = LayerSpec(LayerKind.CONV2D, (k * cin, k * cout, kh, kw, stride, padding))
-            b = np.concatenate([p["bias"] for p in mats])
-            origins[i] = np.repeat(np.arange(k), cout)
-            fused_params.append({"weight": np.ascontiguousarray(w), "bias": np.ascontiguousarray(b)})
-            fused_specs.append(new_spec)
-        elif spec.kind is LayerKind.BATCHNORM2D:
-            fused_params.append(
-                {key: np.concatenate([p[key] for p in mats]) for key in mats[0]})
-            fused_specs.append(LayerSpec(LayerKind.BATCHNORM2D, (k * spec.dims[0],)))
-        else:
-            fused_params.append({})
-            fused_specs.append(spec)
-    fused = Network(fused_specs, fused_params, origins or None)
-    check_specs(fused.specs)
+    couplings = hidden_couplings(bundle.members[0])
+    fused = gather_units(bundle.members, couplings, [np.arange(k * c.units) for c in couplings])
+    fused.origins = {c.layer: np.repeat(np.arange(k), c.units) for c in couplings} or None
     return fused
 
 

@@ -1,7 +1,7 @@
-"""Structured unit selection: rank units by L2 norm and rebuild a genuinely
-smaller network, and reorder units, through one coupled gather that moves
-each unit's row/filter, bias, BN channel, and downstream input slice
-together."""
+"""The members' layer-wise concatenation and structured unit selection on it:
+rank units by L2 norm and rebuild a genuinely smaller network, and reorder
+units, all through one coupled gather that moves each unit's row/filter,
+bias, BN channel, and downstream input slice together."""
 
 from __future__ import annotations
 
@@ -150,26 +150,29 @@ def _take(w: np.ndarray, rows: Optional[np.ndarray], cols: Optional[np.ndarray])
     return w
 
 
-def gather_units(sources: Sequence[Network], kept: list[np.ndarray]) -> Network:
+def gather_units(sources: Sequence[Network], couplings: Sequence[LayerCoupling],
+                 kept: list[np.ndarray]) -> Network:
     """The network that keeps units `kept` of the layer-wise concatenation of
-    `sources` (as `fusion.concat_fuse` builds it), gathered straight from the
-    sources.
+    `sources`, gathered straight from the sources; `couplings` are the
+    sources' `hidden_couplings`.
+
+    The concatenation of k members stacks their hidden units member by
+    member: a kept unit takes its member's row, bias and BN channel, and the
+    next layer's input slice of the same member, and weights linking units of
+    different members are zero. The head is the concatenation of the members'
+    kept columns scaled by 1/k with the mean member bias, and a head-only
+    chain is the mean of the heads. In eval mode the full concatenation
+    computes the mean of the member outputs.
 
     `kept[pos]` holds the concatenation ids j*m + u of the units kept in
-    hidden coupling `pos`, where m is the member width. The ids must be
-    grouped by member j in member order, in any order within a member; the
-    output holds each member's units in the order given. A kept unit takes
-    its member's row, bias and BN channel, and the next layer's input slice
-    of the same member; weights linking units of different members are zero.
-    The head is the concatenation of the members' kept columns scaled by 1/k
-    with the mean member bias, and a head-only chain is the mean of the heads.
-    With one source this is structured pruning (sorted ids) or a reordering
-    (a permutation) of that network. All output tensors are fresh arrays,
-    bit-identical to the concatenation's; origin labels are left to the
-    caller.
+    `couplings[pos]`, where m is the member width. The ids must be grouped by
+    member j in member order, in any order within a member; the output holds
+    each member's units in the order given. With one source this is
+    structured pruning (sorted ids) or a reordering (a permutation) of that
+    network. All output tensors are fresh arrays; origin labels are left to
+    the caller.
     """
     k = len(sources)
-    couplings = hidden_couplings(sources[0])
     rows: dict[int, list] = {}  # unit layer -> per-member (out slice, unit ids)
     cols: dict[int, tuple[list, LayerCoupling]] = {}  # next layer -> (slices, coupling)
     bn_of: dict[int, int] = {}  # batchnorm layer -> its unit layer
@@ -243,7 +246,8 @@ def permute_units(net: Network, orders: dict[int, np.ndarray]) -> Network:
         kept[layer] = np.asarray(order, dtype=np.int64)
         if sorted(kept[layer].tolist()) != list(range(widths[layer])):
             raise InvalidArg("order must be a permutation of the layer's units")
-    out = gather_units([net], [kept.get(c.layer, np.arange(c.units)) for c in couplings])
+    out = gather_units([net], couplings,
+                       [kept.get(c.layer, np.arange(c.units)) for c in couplings])
     if net.origins is not None:
         out.origins = {layer: o[kept[layer]] if layer in kept else o.copy()
                        for layer, o in net.origins.items()}
@@ -268,7 +272,7 @@ def prune_concat(sources: Sequence[Network], policy: KeepPolicy,
     kept = [_keep_indices(policy, pos, c.layer,
                           _concat_norms(sources, c, pos == 0, include_bias), labels[pos])
             for pos, c in enumerate(couplings)]
-    out = gather_units(sources, kept)
+    out = gather_units(sources, couplings, kept)
     out.origins = {c.layer: o[keep] for c, o, keep in zip(couplings, labels, kept)
                    if o is not None} or None
     return out

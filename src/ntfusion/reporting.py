@@ -98,17 +98,6 @@ def write_csv(reports, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_csv(path) -> list[tuple[str, str, int, int, str, float]]:
-    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise InvalidArg(f"{path}: unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        exp, method, seed, epoch, metric, value = line.split(",")
-        rows.append((exp, method, int(seed), int(epoch), metric, _f32(float(value))))
-    return rows
-
-
 def write_json(reports, path) -> None:
     doc = {
         "rows": [

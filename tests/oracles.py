@@ -12,10 +12,17 @@ import math
 
 from ntfusion import network
 from ntfusion.errors import EmptyLayer, InvalidArg
-from ntfusion.fusion import EnsembleBundle, concat_fuse, vanilla_average
+from ntfusion.fusion import EnsembleBundle, vanilla_average
 from ntfusion.layers import BN_EPS, BN_MOMENTUM
 from ntfusion.losses import cross_entropy, kd
-from ntfusion.network import LayerKind, LayerSpec, check_specs, hidden_couplings
+from ntfusion.network import (
+    LayerKind,
+    LayerSpec,
+    Network,
+    UNIT_KINDS,
+    check_specs,
+    hidden_couplings,
+)
 from ntfusion.pruning import KeepPolicy
 from ntfusion.tensor import Array, _col2im, _im2col, conv2d, row_l2_norms
 
@@ -223,10 +230,98 @@ def maxpool_backward(dout: Array, cache):
     return dx
 
 
-# Structured pruning and pairwise NT as they were before the gather in
-# `ntfusion.pruning` replaced them: prune a copy of the whole network, and
-# fuse pairs by building the concatenated network and pruning it back. The
-# gathered outputs must match these bit for bit, origins included.
+# The layer-wise concatenation, structured pruning and pairwise NT as they
+# were before the gather in `ntfusion.pruning` replaced them: build the
+# concatenated network layer kind by layer kind, prune a copy of the whole
+# network, and fuse pairs by building the concatenation and pruning it back.
+# The gathered outputs must match these bit for bit, origins included.
+
+
+def concat_fuse(bundle):
+    """Concatenate non-output layers of all members; average the heads.
+
+    Shapes per member layer kind, with k members:
+      input-connected Linear (m x n)  -> (k*m x n), rows stacked
+      interior Linear       (m x n)   -> (k*m x k*n), member blocks on the
+                                         diagonal, cross weights zero
+      output Linear         (m x n)   -> (m x k*n) = (1/k) * [W1 | ... | Wk],
+                                         bias = mean of member biases
+      Conv2D analogously over channels; BatchNorm2D parameters and running
+      statistics are plain concatenations. Pool/Flatten/ReLU pass through.
+
+    The result carries `origins` labelling every hidden unit with its member.
+    """
+    if bundle.k < 2:
+        raise InvalidArg("fusion needs k >= 2 members")
+    check_specs(bundle.members[0].specs)
+    members = bundle.members
+    k = bundle.k
+    specs = members[0].specs
+    param_idx = [i for i, s in enumerate(specs) if s.kind in UNIT_KINDS]
+    head = param_idx[-1]
+    first = param_idx[0]
+
+    fused_specs = []
+    fused_params = []
+    origins = {}
+    for i, spec in enumerate(specs):
+        mats = [m.params[i] for m in members]
+        if spec.kind is LayerKind.LINEAR:
+            fin, fout = spec.dims
+            if i == head:
+                if i == first:
+                    # Degenerate head-only chain: output averaging over the
+                    # shared input is a plain parameter average.
+                    w = mats[0]["weight"].copy()
+                    for p in mats[1:]:
+                        w += p["weight"]
+                    w /= np.float32(k)
+                    new_spec = LayerSpec(LayerKind.LINEAR, (fin, fout))
+                else:
+                    w = np.concatenate([p["weight"] for p in mats], axis=1) / np.float32(k)
+                    new_spec = LayerSpec(LayerKind.LINEAR, (k * fin, fout))
+                b = mats[0]["bias"].copy()
+                for p in mats[1:]:
+                    b += p["bias"]
+                b /= np.float32(k)
+            elif i == first:
+                w = np.concatenate([p["weight"] for p in mats], axis=0)
+                b = np.concatenate([p["bias"] for p in mats])
+                new_spec = LayerSpec(LayerKind.LINEAR, (fin, k * fout))
+                origins[i] = np.repeat(np.arange(k), fout)
+            else:
+                w = np.zeros((k * fout, k * fin), dtype=np.float32)
+                for j, p in enumerate(mats):
+                    w[j * fout : (j + 1) * fout, j * fin : (j + 1) * fin] = p["weight"]
+                b = np.concatenate([p["bias"] for p in mats])
+                new_spec = LayerSpec(LayerKind.LINEAR, (k * fin, k * fout))
+                origins[i] = np.repeat(np.arange(k), fout)
+            fused_params.append({"weight": np.ascontiguousarray(w), "bias": np.ascontiguousarray(b)})
+            fused_specs.append(new_spec)
+        elif spec.kind is LayerKind.CONV2D:
+            cin, cout, kh, kw, stride, padding = spec.dims
+            if i == first:
+                w = np.concatenate([p["weight"] for p in mats], axis=0)
+                new_spec = LayerSpec(LayerKind.CONV2D, (cin, k * cout, kh, kw, stride, padding))
+            else:
+                w = np.zeros((k * cout, k * cin, kh, kw), dtype=np.float32)
+                for j, p in enumerate(mats):
+                    w[j * cout : (j + 1) * cout, j * cin : (j + 1) * cin] = p["weight"]
+                new_spec = LayerSpec(LayerKind.CONV2D, (k * cin, k * cout, kh, kw, stride, padding))
+            b = np.concatenate([p["bias"] for p in mats])
+            origins[i] = np.repeat(np.arange(k), cout)
+            fused_params.append({"weight": np.ascontiguousarray(w), "bias": np.ascontiguousarray(b)})
+            fused_specs.append(new_spec)
+        elif spec.kind is LayerKind.BATCHNORM2D:
+            fused_params.append(
+                {key: np.concatenate([p[key] for p in mats]) for key in mats[0]})
+            fused_specs.append(LayerSpec(LayerKind.BATCHNORM2D, (k * spec.dims[0],)))
+        else:
+            fused_params.append({})
+            fused_specs.append(spec)
+    fused = Network(fused_specs, fused_params, origins or None)
+    check_specs(fused.specs)
+    return fused
 
 
 def _ranked_order(norms, origins):

@@ -139,11 +139,11 @@ class TestExperimentCommand:
         assert run(["report", "--in", workdir / "r", "--format", "svg"]) == 0
         svg = (workdir / "r" / "report.svg").read_text()
         assert svg.count("<polyline") == 1
-        assert run(["report", "--in", workdir / "r", "--format", "csv"]) == 0
-        from ntfusion.reporting import read_csv
-
-        rows = read_csv(workdir / "r" / "report.csv")
-        assert any(m == "immediate_acc" for (_, _, _, _, m, _) in rows)
+        written = {f: (workdir / "r" / f).read_bytes() for f in ("report.csv", "report.json")}
+        for fmt in ("csv", "json"):  # re-rendered from report.json, byte for byte
+            assert run(["report", "--in", workdir / "r", "--format", fmt]) == 0
+            assert (workdir / "r" / f"report.{fmt}").read_bytes() == written[f"report.{fmt}"]
+        assert ",immediate_acc," in written["report.csv"].decode()
 
 
 def small_spec():
@@ -175,6 +175,21 @@ WRONG_TYPES = [(("name",), 5), (("dataset",), "blobs"), (("arch",), ["mlp"]),
                (("k",), "2"), (("seeds",), 1), (("train",), []), (("train", "epochs"), "1"),
                (("train", "batch"), 32), (("plan",), 3), (("plan", "sparsity"), "half"),
                (("finetune_epochs",), 1.5)]
+
+
+BAD_KIND_KEYS = [("compare", "kd", 5), ("compare", "kd", {"temperature": "hot"}),
+                 ("compare", "kd", {"soft_weight": [1]}), ("multimodel", "ks", 3),
+                 ("multimodel", "ks", ["2"]), ("multimodel", "ks", [])]
+ROW = {"experiment": "e", "method": "nt", "seed": 1, "epoch": 0, "metric": "m", "value": 0.5}
+BAD_REPORTS = {
+    "not-json": "{rows",
+    "no-rows": "{}",
+    "rows-not-list": json.dumps({"rows": 5}),
+    "row-not-object": json.dumps({"rows": [5]}),
+    "row-without-method": json.dumps({"rows": [{k: v for k, v in ROW.items() if k != "method"}]}),
+    "string-seed": json.dumps({"rows": [dict(ROW, seed="1")]}),
+    "negative-epoch": json.dumps({"rows": [dict(ROW, epoch=-1)]}),
+}
 
 
 def edited(doc, path, value=None, drop=False):
@@ -223,6 +238,20 @@ class TestBadSpec:
     def test_malformed_documents_exit_2(self, tmp_path, capsys, doc):
         code, err = self.run_spec(tmp_path, capsys, doc)
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("kind,key,value", BAD_KIND_KEYS,
+                             ids=[f"{k}-{key}={v!r}" for k, key, v in BAD_KIND_KEYS])
+    def test_bad_experiment_kind_key_exits_2(self, tmp_path, capsys, kind, key, value):
+        doc = dict(small_spec(), experiment=kind)
+        doc[key] = value
+        code, err = self.run_spec(tmp_path, capsys, doc)
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("name", sorted(BAD_REPORTS))
+    def test_bad_report_json_exits_2(self, tmp_path, capsys, name):
+        (tmp_path / "report.json").write_text(BAD_REPORTS[name])
+        assert run(["report", "--in", tmp_path, "--format", "csv"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'report.json'}")
 
     def test_train_spec_without_dataset_exits_2(self, workdir, capsys):
         doc = json.loads((workdir / "train.json").read_text())

@@ -84,7 +84,7 @@ class TestBuilders:
         }
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(doc))
-        spec = ExperimentSpec.from_json(p)
+        spec = ExperimentSpec.from_json(json.loads(p.read_text()))
         assert spec.seeds == (3, 4)
         assert spec.plan.finetune.epochs == 2
         assert spec.train.lr == 0.1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from ntfusion import network as nw
 from ntfusion.errors import ArchMismatch, InvalidArg
+from ntfusion.experiments import build_arch
 from ntfusion.fusion import (
     EnsembleBundle,
     FusionPlan,
@@ -393,10 +394,53 @@ GATHER_ARCHS = {
 }
 
 
+def conv_stride2_specs():
+    """Two stride-2 convs without BN (12x12 -> 6x6 -> 3x3) and two hidden
+    Linear layers after the flatten."""
+    return [
+        nw.conv(1, 4, 3, stride=2, padding=1), nw.relu(),
+        nw.conv(4, 6, 3, stride=2, padding=1), nw.relu(),
+        nw.flatten(), nw.linear(6 * 3 * 3, 10), nw.relu(), nw.linear(10, 7), nw.relu(),
+        nw.linear(7, 3),
+    ]
+
+
+def bench_convnet_specs():
+    """The benchmark's convnet: 16x16 inputs, conv channels [16, 32] with BN,
+    one hidden Linear of 64."""
+    return build_arch({"type": "convnet", "image_hw": [16, 16], "in_channels": 1,
+                       "conv_channels": [16, 32], "batchnorm": True, "hidden": [64],
+                       "classes": 10})
+
+
+CONCAT_ARCHS = {**GATHER_ARCHS, "conv-stride2-no-bn": conv_stride2_specs,
+                "bench-convnet": bench_convnet_specs}
+
+
+class TestConcatFuseMatchesOracle:
+    """`concat_fuse` is the gather that keeps every unit; it must be
+    bit-identical to the hand-built per-layer-kind concatenation, origins
+    included, and hold fresh C-contiguous arrays."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    @pytest.mark.parametrize("arch", sorted(CONCAT_ARCHS))
+    def test_matches_oracle(self, arch, k):
+        for duplicates in (False, True):
+            bundle = make_members(CONCAT_ARCHS[arch](), k, 50 + k, randomize_bn=True,
+                                  duplicates=duplicates)
+            fused = concat_fuse(bundle)
+            oracles.assert_same_network(fused, oracles.concat_fuse(bundle))
+            for i, p in enumerate(fused.params):
+                for key, a in p.items():
+                    assert a.flags.c_contiguous, f"layer {i} {key}"
+                    assert not any(np.shares_memory(a, m.params[i][key])
+                                   for m in bundle.members), f"layer {i} {key}"
+
+
 def concat_prune_oracle(bundle, sparsity):
     """Joint NT the way it was computed before the gather: build the
     concatenated network, then prune it with the pre-gather pruning code."""
-    big = concat_fuse(bundle)
+    big = oracles.concat_fuse(bundle)
     if sparsity is None:
         return oracles.prune_to_architecture(big, bundle.members[0])
     return oracles.magnitude_prune(big, KeepPolicy.sparsity(sparsity))

@@ -258,7 +258,7 @@ class TestPruneConcat:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_policies_match_pruning_the_concatenation(self, k):
         members = [init_network(conv_hidden_specs(), RngStream(30 + j, "pc")) for j in range(k)]
-        big = concat_fuse(EnsembleBundle(members))
+        big = oracles.concat_fuse(EnsembleBundle(members))
         quotas = [6 // k + (1 if j < 6 % k else 0) for j in range(k)]
         cases = [
             (KeepPolicy.per_member(quotas), True),
@@ -278,8 +278,8 @@ class TestPruneConcat:
             for s in (0.0, 0.3, 0.7):
                 oracles.assert_same_network(magnitude_prune(net, KeepPolicy.sparsity(s)),
                                             oracles.magnitude_prune(net, KeepPolicy.sparsity(s)))
-        fused = concat_fuse(EnsembleBundle([init_network(conv_hidden_specs(), RngStream(s, "o"))
-                                            for s in (1, 2)]))
+        fused = oracles.concat_fuse(EnsembleBundle(
+            [init_network(conv_hidden_specs(), RngStream(s, "o")) for s in (1, 2)]))
         for policy in (KeepPolicy.sparsity(0.5), KeepPolicy.per_member([2, 4])):
             oracles.assert_same_network(magnitude_prune(fused, policy),
                                         oracles.magnitude_prune(fused, policy))

@@ -3,10 +3,10 @@
 import numpy as np
 
 from ntfusion.reporting import (
+    CSV_HEADER,
     RunReport,
     SeedRecord,
     fmt_float,
-    read_csv,
     report_rows,
     write_csv,
     write_json,
@@ -37,16 +37,21 @@ class TestCsv:
         rep.records.append(rec)
         path = tmp_path / "r.csv"
         write_csv([rep], path)
-        rows = read_csv(path)
-        assert rows == [("one", "nt", 3, 0, "immediate_acc", 0.5)]
+        assert path.read_text() == f"{CSV_HEADER}\none,nt,3,0,immediate_acc,0.5\n"
+        assert report_rows([rep]) == [("one", "nt", 3, 0, "immediate_acc", 0.5)]
         assert rep.aggregate()["immediate_acc"]["mean"] == 0.5
 
     def test_round_trip_exact(self, tmp_path):
         reports = sample_reports()
         path = tmp_path / "r.csv"
         write_csv(reports, path)
-        parsed = read_csv(path)
-        assert parsed == report_rows(reports)
+        header, *lines = path.read_text().splitlines()
+        rows = report_rows(reports)
+        assert header == CSV_HEADER and len(lines) == len(rows)
+        for line, (exp, method, seed, epoch, metric, value) in zip(lines, rows):
+            *fields, text = line.split(",")
+            assert fields == [exp, method, str(seed), str(epoch), metric]
+            assert float(np.float32(float(text))) == value
 
     def test_nine_digit_floats_round_trip_f32(self):
         values = np.frombuffer(np.arange(40, dtype=np.uint32).tobytes(), dtype=np.float32)

@@ -164,7 +164,7 @@ def _cmd_distill(args) -> int:
 
 def run_experiment_spec(spec: ExperimentSpec, doc: dict, out_dir: Path) -> list:
     get, ints = experiments._get, experiments._ints
-    kind = doc.get("experiment", "pipeline")
+    kind = get(doc, "experiment", str, "pipeline")
     if kind == "pipeline":
         reports = [experiments.run_pipeline(spec)]
     elif kind == "multimodel":
@@ -182,7 +182,7 @@ def run_experiment_spec(spec: ExperimentSpec, doc: dict, out_dir: Path) -> list:
         reports = experiments.compare_methods(
             spec, methods=tuple(get(doc, "methods", list, ["nt", "avg", "align"])), kd=kd)
     else:
-        raise UsageError(f"unknown experiment kind {kind!r}")
+        raise BadSpec(f"unknown experiment kind {kind!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     reporting.write_csv(reports, out_dir / "report.csv")
     reporting.write_json(reports, out_dir / "report.json")
@@ -221,9 +221,10 @@ def _reports_from_json(path: Path) -> list[reporting.RunReport]:
                 rec.metrics[metric] = value
             else:
                 series = rec.series.setdefault(metric, [])
-                while len(series) < epoch:
-                    series.append(0.0)
-                series[epoch - 1] = value
+                if epoch != len(series) + 1:  # report_rows writes epochs 1, 2, ... in order
+                    raise BadSpec(f"report row epoch {epoch} of {metric!r} should be "
+                                  f"{len(series) + 1}")
+                series.append(value)
     except BadSpec as exc:
         raise BadSpec(f"{path}: {exc}") from exc
     return list(table.values())

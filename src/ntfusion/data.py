@@ -143,6 +143,8 @@ def synth_blobs(n: int, classes: int, dim: int, spread: float, seed: int) -> Dat
     """
     if classes < 1 or n < classes:
         raise InvalidArg("need n >= classes >= 1")
+    if dim < 1:
+        raise InvalidArg("dim must be >= 1")
     if spread <= 0:
         raise InvalidArg("spread must be positive")
     rng = RngStream(seed, "synth_blobs")
@@ -240,14 +242,20 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
     return train, test
 
 
-def batches(ds: Dataset, plan: BatchPlan, epoch: int) -> Iterator[tuple[Array, np.ndarray]]:
-    """Seeded per-epoch shuffle; every sample appears exactly once, the last
-    partial batch is kept unless drop_last. Batches are gathered one at a
-    time as the caller iterates."""
-    n = len(ds)
+def _batch_rows(n: int, plan: BatchPlan, epoch: int) -> Iterator[np.ndarray]:
+    """Row indices of each batch of one epoch: a seeded shuffle of range(n)
+    cut into batch_size slices, the last partial one kept unless drop_last."""
     order = RngStream(plan.shuffle_seed, f"shuffle/epoch-{epoch}").permutation(n)
     for start in range(0, n, plan.batch_size):
         idx = order[start : start + plan.batch_size]
         if plan.drop_last and len(idx) < plan.batch_size:
             return
+        yield idx
+
+
+def batches(ds: Dataset, plan: BatchPlan, epoch: int) -> Iterator[tuple[Array, np.ndarray]]:
+    """Seeded per-epoch shuffle; every sample appears exactly once, the last
+    partial batch is kept unless drop_last. Batches are gathered one at a
+    time as the caller iterates."""
+    for idx in _batch_rows(len(ds), plan, epoch):
         yield np.ascontiguousarray(ds.features[idx]), ds.labels[idx]

@@ -56,16 +56,24 @@ def _get(doc: dict, key: str, kind: type, default=_REQUIRED):
         if default is _REQUIRED:
             raise BadSpec(f"spec key {key!r} is missing")
         return default
-    if not isinstance(value, _JSON_KINDS[kind]) or (isinstance(value, bool) and kind is not bool):
+    if not _is_kind(value, kind):
         raise BadSpec(f"spec key {key!r} must be a JSON {kind.__name__}, got {value!r}")
     return float(value) if kind is float else value
 
 
-def _ints(doc: dict, key: str, default=_REQUIRED) -> list[int]:
-    values = _get(doc, key, list, default)
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
-        raise BadSpec(f"spec key {key!r} must be a list of integers, got {values!r}")
+def _is_kind(value, kind: type) -> bool:
+    return isinstance(value, _JSON_KINDS[kind]) and (kind is bool or not isinstance(value, bool))
+
+
+def _items(values: list, kind: type, what: str) -> list:
+    """`values` unchanged once every item is a JSON value of `kind`."""
+    if not all(_is_kind(v, kind) for v in values):
+        raise BadSpec(f"{what} must be a list of JSON {kind.__name__}s, got {values!r}")
     return values
+
+
+def _ints(doc: dict, key: str, default=_REQUIRED) -> list[int]:
+    return _items(_get(doc, key, list, default), int, f"spec key {key!r}")
 
 
 def _object(doc, what: str) -> dict:
@@ -386,6 +394,7 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
     """One report per swept value; axis is width, depth, transplant_fraction,
     or sparsity."""
     axis = axis.lower()
+    _items(values, int if axis in ("width", "depth") else float, f"{axis} sweep values")
     if axis == "width":
         hidden = spec.arch.get("hidden", [64])
         return [

@@ -29,7 +29,11 @@ def cross_entropy_per_sample(logits: Array, labels) -> Array:
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeMismatch(f"logits {logits.shape} vs labels {labels.shape}")
     logp = log_softmax(logits)
-    return -logp[np.arange(len(labels)), labels]
+    try:
+        return -logp[np.arange(len(labels)), labels]
+    except IndexError as exc:
+        raise ShapeMismatch(f"labels reach class {labels.max()}, logits have "
+                            f"{logits.shape[1]} columns") from exc
 
 
 def cross_entropy(logits: Array, labels) -> tuple[float, Array]:

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from . import losses, network
-from .data import BatchPlan, Dataset, batches
+from .data import BatchPlan, Dataset, _batch_rows, batches
 from .errors import InvalidArg, NonFiniteLoss, NonFiniteTensor
 from .network import Network
 from .tensor import Array
@@ -80,7 +80,11 @@ class History:
     records: list[EpochRecord] = field(default_factory=list)
 
 
-def evaluate(net: Network, ds: Dataset, batch_size: int = 256) -> dict[str, float]:
+# Rows per eval-mode forward, in `evaluate` and in distillation's teacher pass.
+_EVAL_ROWS = 256
+
+
+def evaluate(net: Network, ds: Dataset, batch_size: int = _EVAL_ROWS) -> dict[str, float]:
     """Eval-mode accuracy (argmax, first index wins ties) and mean loss."""
     correct = 0
     loss_sum = 0.0
@@ -116,9 +120,10 @@ def _epoch_pass(net, train_ds, test_ds, cfg, epoch, velocity, batch_fn) -> Epoch
     t0 = time.perf_counter()
     lr = cfg.lr_at(epoch)
     batch_losses = []
-    for bi, (bx, by) in enumerate(batches(train_ds, cfg.batch, epoch)):
+    rows = _batch_rows(len(train_ds), cfg.batch, epoch)
+    for bi, ((bx, by), idx) in enumerate(zip(batches(train_ds, cfg.batch, epoch), rows)):
         try:
-            value, grads = batch_fn(net, bx, by)
+            value, grads = batch_fn(net, bx, by, idx)
         except NonFiniteTensor as exc:
             raise NonFiniteLoss(f"non-finite values at epoch {epoch}, batch {bi}") from exc
         if not np.isfinite(value):
@@ -146,7 +151,7 @@ def train(net: Network, train_ds: Dataset, test_ds: Dataset,
     velocity = _sgd_state(net)
     history = History()
 
-    def step(n, bx, by):
+    def step(n, bx, by, rows):
         return network.backward(n, bx, by, loss="cross_entropy")
 
     for epoch in range(cfg.epochs):
@@ -163,21 +168,36 @@ def average_logits(nets, x: Array) -> Array:
     return acc
 
 
+def _teacher_logits(members, ds: Dataset) -> Array:
+    """`average_logits` of every row of `ds`, _EVAL_ROWS rows at a time."""
+    try:
+        chunks = [average_logits(members, ds.features[s : s + _EVAL_ROWS])
+                  for s in range(0, len(ds), _EVAL_ROWS)]
+    except NonFiniteTensor as exc:
+        raise NonFiniteLoss(f"non-finite teacher logits ({exc})") from exc
+    return np.concatenate(chunks) if chunks else np.empty((0, 0), np.float32)
+
+
 def distill(student: Network, teachers, train_ds: Dataset, test_ds: Dataset,
             cfg: TrainConfig, kd: KdConfig) -> tuple[Network, History]:
     """Train the student against the uniform logit average of the teachers.
 
     Teacher/student architectures may differ; only the dataset shapes must
-    agree. Teachers run in eval mode and are never mutated.
+    agree. Teachers run in eval mode and are never mutated. They run once per
+    call, before the first epoch (none when cfg.epochs is 0): their averaged
+    logits over `train_ds`, 256 rows per forward. Each batch then reads
+    its rows of that cache by index. On the tested build this is bit-identical
+    to running the teachers on every batch; a teacher forward that overflows
+    raises NonFiniteLoss.
     """
     members = list(teachers.members) if hasattr(teachers, "members") else list(teachers)
     student = student.clone()
     velocity = _sgd_state(student)
     history = History()
+    t_logits = _teacher_logits(members, train_ds) if cfg.epochs else None
 
-    def step(n, bx, by):
-        t_logits = average_logits(members, bx)
-        return network.backward(n, bx, by, loss="kd", teacher_logits=t_logits, kd_cfg=kd)
+    def step(n, bx, by, rows):
+        return network.backward(n, bx, by, loss="kd", teacher_logits=t_logits[rows], kd_cfg=kd)
 
     for epoch in range(cfg.epochs):
         history.records.append(_epoch_pass(student, train_ds, test_ds, cfg, epoch, velocity, step))

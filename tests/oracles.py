@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 import math
 
-from ntfusion import network
+from ntfusion import network, training
 from ntfusion.errors import EmptyLayer, InvalidArg
 from ntfusion.fusion import EnsembleBundle, vanilla_average
 from ntfusion.layers import BN_EPS, BN_MOMENTUM
@@ -477,6 +477,24 @@ def align_average(a, b):
         _, order = linear_sum_assignment(cost)
         aligned = permute_units(aligned, coupling.layer, order)
     return vanilla_average(EnsembleBundle([a, aligned]))
+
+
+def distill(student, teachers, train_ds, test_ds, cfg, kd):
+    """`training.distill` with every teacher run on every batch of every
+    epoch: the per-batch path the teacher-logit cache replaced."""
+    members = list(teachers.members) if hasattr(teachers, "members") else list(teachers)
+    student = student.clone()
+    velocity = training._sgd_state(student)
+    history = training.History()
+
+    def step(n, bx, by, rows):
+        t_logits = training.average_logits(members, bx)
+        return network.backward(n, bx, by, loss="kd", teacher_logits=t_logits, kd_cfg=kd)
+
+    for epoch in range(cfg.epochs):
+        history.records.append(
+            training._epoch_pass(student, train_ds, test_ds, cfg, epoch, velocity, step))
+    return student, history
 
 
 def assert_same_network(got, want):

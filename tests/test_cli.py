@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ntfusion import network as nw
 from ntfusion.checkpoint import load_checkpoint, save_checkpoint
@@ -175,11 +177,14 @@ WRONG_TYPES = [(("name",), 5), (("dataset",), "blobs"), (("arch",), ["mlp"]),
                (("k",), "2"), (("seeds",), 1), (("train",), []), (("train", "epochs"), "1"),
                (("train", "batch"), 32), (("plan",), 3), (("plan", "sparsity"), "half"),
                (("finetune_epochs",), 1.5)]
+BAD_VALUES = [(("experiment",), "bogus"), (("experiment",), 5), (("dataset", "dim"), -2),
+              (("arch", "classes"), 2)]
 
 
 BAD_KIND_KEYS = [("compare", "kd", 5), ("compare", "kd", {"temperature": "hot"}),
                  ("compare", "kd", {"soft_weight": [1]}), ("multimodel", "ks", 3),
                  ("multimodel", "ks", ["2"]), ("multimodel", "ks", [])]
+SWEEP_AXES = ["width", "depth", "transplant_fraction", "sparsity"]
 ROW = {"experiment": "e", "method": "nt", "seed": 1, "epoch": 0, "metric": "m", "value": 0.5}
 BAD_REPORTS = {
     "not-json": "{rows",
@@ -189,6 +194,8 @@ BAD_REPORTS = {
     "row-without-method": json.dumps({"rows": [{k: v for k, v in ROW.items() if k != "method"}]}),
     "string-seed": json.dumps({"rows": [dict(ROW, seed="1")]}),
     "negative-epoch": json.dumps({"rows": [dict(ROW, epoch=-1)]}),
+    "epoch-gap": json.dumps({"rows": [dict(ROW, epoch=1), dict(ROW, epoch=3)]}),
+    "epoch-repeated": json.dumps({"rows": [dict(ROW, epoch=1), dict(ROW, epoch=1)]}),
 }
 
 
@@ -230,6 +237,12 @@ class TestBadSpec:
         code, err = self.run_spec(tmp_path, capsys, edited(small_spec(), path, value))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("path,value", BAD_VALUES,
+                             ids=[f"{'/'.join(p)}={v!r}" for p, v in BAD_VALUES])
+    def test_bad_value_exits_2(self, tmp_path, capsys, path, value):
+        code, err = self.run_spec(tmp_path, capsys, edited(small_spec(), path, value))
+        assert code == 2 and err.startswith("error:")
+
     @pytest.mark.parametrize("doc", [
         {"dataset": {"kind": "blobs"}, "arch": {"type": "mlp"}},
         "[1, 2]",
@@ -244,6 +257,12 @@ class TestBadSpec:
     def test_bad_experiment_kind_key_exits_2(self, tmp_path, capsys, kind, key, value):
         doc = dict(small_spec(), experiment=kind)
         doc[key] = value
+        code, err = self.run_spec(tmp_path, capsys, doc)
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_bad_sweep_values_exit_2(self, tmp_path, capsys, axis):
+        doc = dict(small_spec(), experiment="sweep", axis=axis, values=["x"])
         code, err = self.run_spec(tmp_path, capsys, doc)
         assert code == 2 and err.startswith("error:")
 
@@ -267,3 +286,92 @@ class TestBadSpec:
         doc["dataset"] = {"kind": "csv", "path": str(data)}
         code, err = self.run_spec(tmp_path, capsys, doc)
         assert code == 2 and err.startswith(f"error: {data}:3:")
+
+
+# Small JSON values only: a spec key set to a large number could ask for a
+# dataset or a network too big to build, which is not what this fuzz is after.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2.0, 2.0)
+               | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+               | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# Spec keys a mutation may set, with values worth trying besides random JSON.
+SPEC_KEYS = {
+    ("experiment",): ["pipeline", "multimodel", "sweep", "failure", "compare"],
+    ("axis",): SWEEP_AXES,
+    ("values",): [[1, 2], [0.0, 0.5]],
+    ("kd",): [{"temperature": 2.0, "soft_weight": 0.5}],
+    ("ks",): [[2, 3]],
+    ("methods",): [["nt", "avg", "align", "nt_iterative", "nt_recursive"]],
+    ("k",): [1, 3],
+    ("seeds",): [[1, 2]],
+    ("finetune_epochs",): [1],
+    ("dataset", "kind"): ["blobs", "shapes"],
+    ("dataset", "n"): [6],
+    ("dataset", "classes"): [1, 2],
+    ("dataset", "dim"): [2],
+    ("dataset", "test_fraction"): [0.5],
+    ("arch", "type"): ["mlp", "convnet", "layers"],
+    ("arch", "in_features"): [2],
+    ("arch", "hidden"): [[], [4, 4]],
+    ("arch", "classes"): [2],
+    ("train", "epochs"): [0, 2],
+    ("train", "lr"): [0.5],
+    ("train", "momentum"): [0.0],
+    ("train", "batch"): [{"batch_size": 7, "drop_last": True}],
+    ("train", "schedule"): [{"period": 1, "factor": 0.5}],
+    ("plan", "method"): ["nt", "avg", "align", "nt_iterative", "nt_recursive"],
+    ("plan", "sparsity"): [0.5],
+    ("plan", "pipeline"): ["merge_prune_ft", "merge_ft_prune_ft", "prune_merge_ft"],
+    ("plan", "finetune"): [{"epochs": 1, "lr": 0.1}],
+}
+
+
+@st.composite
+def mutated_specs(draw):
+    doc = draw(st.sampled_from([small_spec, conv_spec]))()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(sorted(SPEC_KEYS)))
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(SPEC_KEYS[path]))
+        else:
+            value = draw(JSON_VALUES)
+        target = doc
+        for key in path[:-1]:
+            if not isinstance(target.get(key), dict):
+                target[key] = {}
+            target = target[key]
+        if value is None:
+            target.pop(path[-1], None)
+        else:
+            target[path[-1]] = value
+    return doc
+
+
+class TestSpecFuzz:
+    """Any spec object runs (exit 0) or is refused (exit 2), never a traceback."""
+
+    def run_spec(self, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code = run(["experiment", "--spec", spec, "--out", tmp_path / "out"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), err
+        assert "Traceback" not in out + err
+        assert code == 0 or err.startswith("error:")
+
+    @given(doc=st.dictionaries(st.sampled_from(sorted({p[0] for p in SPEC_KEYS} | {"name"}))
+                               | st.text(max_size=3), JSON_VALUES, max_size=6))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_objects(self, tmp_path, capsys, doc):
+        self.run_spec(tmp_path, capsys, doc)
+
+    @given(doc=mutated_specs())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_valid_specs(self, tmp_path, capsys, doc):
+        self.run_spec(tmp_path, capsys, doc)

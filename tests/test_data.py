@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ntfusion.data import (
     BatchPlan,
+    _batch_rows,
     batches,
     load_csv,
     load_idx,
@@ -195,6 +196,17 @@ class TestBatches:
         for (xa, ya), (xb, yb) in zip(a, b):
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
+
+    @pytest.mark.parametrize("drop_last", [False, True])
+    def test_batch_rows_index_the_batches(self, drop_last):
+        plan = BatchPlan(batch_size=4, shuffle_seed=3, drop_last=drop_last)
+        for epoch in range(3):
+            pairs = list(batches(self.ds, plan, epoch))
+            rows = list(_batch_rows(len(self.ds), plan, epoch))
+            assert len(rows) == len(pairs) == (2 if drop_last else 3)
+            for idx, (bx, by) in zip(rows, pairs):
+                np.testing.assert_array_equal(bx, self.ds.features[idx])
+                np.testing.assert_array_equal(by, self.ds.labels[idx])
 
     @given(st.integers(1, 12), st.integers(0, 5))
     @settings(max_examples=20, deadline=None)

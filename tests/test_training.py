@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ntfusion import network as nw
-from ntfusion.data import BatchPlan, synth_blobs, train_test_split
+from ntfusion import network as nw, training
+from ntfusion.data import BatchPlan, synth_blobs, synth_shapes, train_test_split
 from ntfusion.errors import NonFiniteLoss
 from ntfusion.fusion import EnsembleBundle
 from ntfusion.losses import cross_entropy, kd as kd_loss_and_grad
@@ -19,7 +19,7 @@ from ntfusion.training import (
     train,
 )
 
-from oracles import check_gradients, rel_error
+from oracles import assert_same_network, check_gradients, distill as distill_oracle, rel_error
 
 
 def kd_loss(student_logits, teacher_logits, labels, kd):
@@ -37,6 +37,12 @@ def mlp(dims, seed=0):
     for a, b in zip(dims[:-2], dims[1:-1]):
         specs += [nw.linear(a, b), nw.relu()]
     specs.append(nw.linear(dims[-2], dims[-1]))
+    return init_network(specs, RngStream(seed, "init"))
+
+
+def conv_bn(seed):
+    specs = [nw.conv(1, 3, 3, stride=1, padding=1), nw.batchnorm(3), nw.relu(), nw.maxpool(2),
+             nw.flatten(), nw.linear(3 * 4 * 4, 4)]
     return init_network(specs, RngStream(seed, "init"))
 
 
@@ -216,3 +222,67 @@ class TestDistill:
                          KdConfig(2.0, 1.0))
         after = evaluate(out, test_ds)["accuracy"]
         assert after > before
+
+    def test_overflowing_teacher_raises_nonfinite_loss(self):
+        train_ds, test_ds = blob_task(seed=84)
+        huge = mlp([2, 8, 3], seed=16)
+        for p in huge.params[::2]:  # the Linear layers
+            p["weight"] *= np.float32(1e30)
+        with pytest.raises(NonFiniteLoss, match="teacher"):
+            distill(mlp([2, 8, 3], seed=17), [mlp([2, 8, 3], seed=18), huge], train_ds, test_ds,
+                    TrainConfig(epochs=1, lr=0.05), KdConfig(2.0, 0.5))
+
+    def test_teachers_run_once_per_call(self, monkeypatch):
+        train_ds, test_ds = blob_task(seed=85, n=700)  # 350 training rows: two chunks
+        forwards = []
+        per_batch = training.average_logits
+
+        def counted(members, x):
+            forwards.append(len(x))
+            return per_batch(members, x)
+
+        monkeypatch.setattr(training, "average_logits", counted)
+        teachers = [mlp([2, 8, 3], seed=19), mlp([2, 8, 3], seed=20)]
+        for epochs, want in ((0, []), (3, [256, 94])):
+            forwards.clear()
+            distill(mlp([2, 8, 3], seed=21), teachers, train_ds, test_ds,
+                    TrainConfig(epochs=epochs, lr=0.05, batch=BatchPlan(32)), KdConfig(2.0, 0.5))
+            assert forwards == want
+
+
+def mlp_distill_case(k):
+    train_ds, test_ds = blob_task(seed=91, n=700, classes=3, dim=4, spread=0.5)
+    return mlp([4, 8, 3], seed=30), [mlp([4, 16, 3], seed=40 + j) for j in range(k)], \
+        train_ds, test_ds
+
+
+def conv_distill_case(k):
+    train_ds, test_ds = train_test_split(synth_shapes(600, 4, image=8, seed=92), 0.5, seed=92)
+    warmup = TrainConfig(epochs=1, lr=0.05, batch=BatchPlan(64, shuffle_seed=5))
+    # One train-mode epoch moves the running statistics the eval-mode BN uses.
+    teachers = [train(conv_bn(50 + j), train_ds, test_ds, warmup)[0] for j in range(k)]
+    return conv_bn(31), teachers, train_ds, test_ds
+
+
+class TestDistillCache:
+    """Cached teacher logits against the per-batch teacher forwards
+    (`oracles.distill`), byte for byte, over 350 (MLP) or 300 (conv+BN)
+    training rows: two teacher chunks (256 + 94 or 256 + 44 rows) and a
+    partial last batch of 30 or 12 rows."""
+
+    @pytest.mark.parametrize("drop_last", [False, True])
+    @pytest.mark.parametrize("case", [mlp_distill_case, conv_distill_case],
+                             ids=["mlp", "conv-bn"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_per_batch_teachers(self, k, case, drop_last):
+        student, teachers, train_ds, test_ds = case(k)
+        cfg = TrainConfig(epochs=3, lr=0.05,
+                          batch=BatchPlan(32, shuffle_seed=4, drop_last=drop_last))
+        kd = KdConfig(2.0, 0.5)
+        got, got_hist = distill(student, EnsembleBundle(teachers), train_ds, test_ds, cfg, kd)
+        want, want_hist = distill_oracle(student, teachers, train_ds, test_ds, cfg, kd)
+        assert_same_network(got, want)
+        fields = lambda h: [(r.epoch, r.train_loss, r.test_loss, r.test_accuracy)
+                            for r in h.records]
+        assert len(got_hist.records) == 3
+        assert fields(got_hist) == fields(want_hist)

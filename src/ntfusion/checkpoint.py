@@ -3,7 +3,9 @@
 Layout: 8 magic bytes "NTCKPT<version>\\0", a little-endian uint32 header
 length, the UTF-8 JSON header, then every parameter tensor in layer order
 (canonical key order per kind) as raw little-endian float32. Round trips are
-bit-exact regardless of host endianness.
+bit-exact regardless of host endianness. A fused network's origin labels ride
+in the header as `"origins": {layer: [member id, ...]}`; files without the key
+load with `origins=None`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import struct
 import numpy as np
 
 from .errors import BadMagic, CorruptHeader, PayloadLengthMismatch, VersionUnsupported
-from .network import LayerKind, LayerSpec, Network, PARAM_ORDER, check_specs
+from .network import LayerKind, LayerSpec, Network, PARAM_ORDER, check_specs, hidden_couplings
 
 MAGIC_PREFIX = b"NTCKPT"
 VERSION = b"1"
@@ -42,6 +44,8 @@ def save_checkpoint(net: Network, path, meta: dict | None = None) -> None:
         "arch_id": net.arch_id,
         "meta": meta or {},
     }
+    if net.origins is not None:
+        header["origins"] = {str(layer): labels.tolist() for layer, labels in net.origins.items()}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -101,4 +105,19 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     net = Network(specs, params)
     if net.arch_id != arch_id:
         raise PayloadLengthMismatch(f"{path}: header arch_id does not match the layer list")
+    if "origins" in header:
+        net.origins = _read_origins(header["origins"], net, path)
     return net, header
+
+
+def _read_origins(doc, net: Network, path) -> dict[int, np.ndarray]:
+    """Header origins: per hidden unit layer, one member id in [0, 2**31) per unit."""
+    if not isinstance(doc, dict):
+        raise CorruptHeader(f"{path}: header origins must be an object")
+    widths = {str(c.layer): c.units for c in hidden_couplings(net)}
+    for layer, labels in doc.items():
+        if (layer not in widths or not isinstance(labels, list) or len(labels) != widths[layer]
+                or not all(type(v) is int and 0 <= v < 2**31 for v in labels)):
+            raise CorruptHeader(f"{path}: origins of layer {layer!r} must be one member id "
+                                "per unit of a hidden unit layer")
+    return {int(layer): np.array(labels, dtype=np.int64) for layer, labels in doc.items()}

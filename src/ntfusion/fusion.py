@@ -135,15 +135,14 @@ def align_average(a: Network, b: Network) -> Network:
     return vanilla_average(EnsembleBundle([a, permute_units(b, orders)]))
 
 
-def transplant_fraction(recipient: Network, donor: Network, p: float,
-                        copy_head: bool = False) -> Network:
+def transplant_fraction(recipient: Network, donor: Network, p: float) -> Network:
     """Replace the weakest round(p*N) units per non-output layer of the
     recipient with the donor's strongest round(p*N) units.
 
     A transplanted slot receives the donor unit's incoming row, bias, and BN
     channel, and the donor's outgoing column in the next layer. Slots and
     donor units are paired in ascending index order, so p=1 reproduces the
-    donor exactly (head included when copy_head is set); p=0 is the identity.
+    donor in all but the head bias, the recipient's; p=0 is the identity.
     """
     if recipient.arch_id != donor.arch_id:
         raise ArchMismatch("transplant needs identical architectures")
@@ -175,9 +174,6 @@ def transplant_fraction(recipient: Network, donor: Network, p: float,
         dst, src = out.params[c.next_layer], donor.params[c.next_layer]
         dst["weight"][:, _unit_columns(slots, c.block)] = \
             src["weight"][:, _unit_columns(donors, c.block)]
-    if copy_head:
-        head = len(recipient.specs) - 1
-        out.params[head] = {k: v.copy() for k, v in donor.params[head].items()}
     return out
 
 

@@ -93,8 +93,7 @@ def _keep_indices(policy: KeepPolicy, pos: int, layer: int, norms: np.ndarray,
     return keep_idx
 
 
-def _concat_norms(sources: Sequence[Network], c: LayerCoupling, stacked: bool,
-                  include_bias: bool) -> np.ndarray:
+def _concat_norms(sources: Sequence[Network], c: LayerCoupling, stacked: bool) -> np.ndarray:
     """Row L2 norms of layer `c.layer` of the sources' concatenation, bit for
     bit, without building it.
 
@@ -107,8 +106,7 @@ def _concat_norms(sources: Sequence[Network], c: LayerCoupling, stacked: bool,
     k = len(sources)
     layers = [s.params[c.layer] for s in sources]
     if stacked or k == 1:
-        return np.concatenate([row_l2_norms(p["weight"], p["bias"], include_bias)
-                               for p in layers])
+        return np.concatenate([row_l2_norms(p["weight"], p["bias"]) for p in layers])
     n = layers[0]["weight"][0].size
     buf = np.zeros((c.units, k * n), dtype=np.float32)
     norms = []
@@ -116,7 +114,7 @@ def _concat_norms(sources: Sequence[Network], c: LayerCoupling, stacked: bool,
         if j:
             buf[:, (j - 1) * n : j * n] = 0.0
         buf[:, j * n : (j + 1) * n] = p["weight"].reshape(c.units, n)
-        norms.append(row_l2_norms(buf, p["bias"], include_bias))
+        norms.append(row_l2_norms(buf, p["bias"]))
     return np.concatenate(norms)
 
 
@@ -254,8 +252,7 @@ def permute_units(net: Network, orders: dict[int, np.ndarray]) -> Network:
     return out
 
 
-def prune_concat(sources: Sequence[Network], policy: KeepPolicy,
-                 include_bias: bool = True) -> Network:
+def prune_concat(sources: Sequence[Network], policy: KeepPolicy) -> Network:
     """`magnitude_prune` of the layer-wise concatenation of `sources` (which
     share one architecture), built in memory of the sources plus the result.
 
@@ -270,7 +267,7 @@ def prune_concat(sources: Sequence[Network], policy: KeepPolicy,
         raise InvalidArg(f"need {len(couplings)} keep counts, got {len(policy.counts)}")
     labels = [_concat_origins(sources, c) for c in couplings]
     kept = [_keep_indices(policy, pos, c.layer,
-                          _concat_norms(sources, c, pos == 0, include_bias), labels[pos])
+                          _concat_norms(sources, c, pos == 0), labels[pos])
             for pos, c in enumerate(couplings)]
     out = gather_units(sources, couplings, kept)
     out.origins = {c.layer: o[keep] for c, o, keep in zip(couplings, labels, kept)
@@ -278,14 +275,13 @@ def prune_concat(sources: Sequence[Network], policy: KeepPolicy,
     return out
 
 
-def magnitude_prune(net: Network, policy: KeepPolicy, include_bias: bool = True) -> Network:
-    """Keep the top units per hidden layer by incoming L2 norm (bias included
-    by default; ties broken by origin member then index) and rebuild a
-    smaller network.
+def magnitude_prune(net: Network, policy: KeepPolicy) -> Network:
+    """Keep the top units per hidden layer by incoming L2 norm (bias included;
+    ties broken by origin member then index) and rebuild a smaller network.
 
     Surviving parameters are bit-identical and keep their relative order.
     """
-    return prune_concat([net], policy, include_bias)
+    return prune_concat([net], policy)
 
 
 def prune_to_architecture(big: Network, reference: Network) -> Network:

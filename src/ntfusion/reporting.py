@@ -128,6 +128,7 @@ def write_timings(reports, path) -> None:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#7f7f7f"]
 _W, _H, _ML, _MR, _MT, _MB = 640, 400, 60, 20, 20, 45
+_SVG_METRIC = "finetuned_acc"
 
 
 def _mean_series(report: RunReport, metric: str) -> list[float]:
@@ -143,15 +144,15 @@ def _mean_series(report: RunReport, metric: str) -> list[float]:
     return out
 
 
-def write_svg(reports, path, metric: str = "finetuned_acc") -> None:
-    """Accuracy-vs-epoch line chart, one polyline per report (seed means)."""
+def write_svg(reports, path) -> None:
+    """`_SVG_METRIC`-vs-epoch line chart, one polyline per report (seed means)."""
     curves = []
     for rep in sorted(reports, key=lambda r: (r.experiment, r.method)):
-        ys = _mean_series(rep, metric)
+        ys = _mean_series(rep, _SVG_METRIC)
         if ys:
             curves.append((rep.method, ys))
     if not curves:
-        raise InvalidArg(f"no '{metric}' series to plot")
+        raise InvalidArg(f"no '{_SVG_METRIC}' series to plot")
     max_epoch = max(len(ys) for _, ys in curves)
     lo = min(min(ys) for _, ys in curves)
     hi = max(max(ys) for _, ys in curves)
@@ -174,7 +175,7 @@ def write_svg(reports, path, metric: str = "finetuned_acc") -> None:
         f'<text x="{(_W + _ML) // 2}" y="{_H - 10}" text-anchor="middle" '
         f'font-size="13">fine-tune epoch</text>',
         f'<text x="15" y="{(_H - _MB + _MT) // 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 15 {(_H - _MB + _MT) // 2})">{metric}</text>',
+        f'transform="rotate(-90 15 {(_H - _MB + _MT) // 2})">{_SVG_METRIC}</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = lo + frac * (hi - lo)

@@ -103,14 +103,14 @@ def _conv2d_cols(x, kernel, stride: int, padding: int) -> tuple[Array, Array]:
     return _checked(np.ascontiguousarray(out.reshape(b, o, out_h, out_w)), "conv2d"), cols
 
 
-def row_l2_norms(w, bias=None, include_bias: bool = True) -> Array:
-    """Per-row L2 norms; conv kernels are treated as flattened filter rows."""
+def row_l2_norms(w, bias=None) -> Array:
+    """Per-row L2 norms, with the bias if given; conv filters count as flat rows."""
     w = as_f32(w)
     if w.ndim < 2:
         raise ShapeMismatch(f"row_l2_norms needs >= 2-D input, got shape {w.shape}")
     flat = w.reshape(w.shape[0], -1)
     sq = np.einsum("ij,ij->i", flat, flat)
-    if bias is not None and include_bias:
+    if bias is not None:
         b = as_f32(bias)
         if b.shape != (w.shape[0],):
             raise ShapeMismatch(f"bias length {b.shape} does not match {w.shape[0]} rows")

@@ -336,7 +336,7 @@ def _resolve_keep(policy, couplings, net, include_bias):
         raise InvalidArg(f"need {len(couplings)} keep counts, got {len(policy.counts)}")
     for pos, c in enumerate(couplings):
         p = net.params[c.layer]
-        norms = row_l2_norms(p["weight"], p["bias"], include_bias=include_bias)
+        norms = row_l2_norms(p["weight"], p["bias"] if include_bias else None)
         origins = net.origins.get(c.layer) if net.origins else None
         if policy.mode == "per_member":
             if origins is None:

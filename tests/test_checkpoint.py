@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ntfusion import network as nw
 from ntfusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ntfusion.errors import (BadMagic, CorruptHeader, NTError, PayloadLengthMismatch,
                              VersionUnsupported)
+from ntfusion.fusion import EnsembleBundle, concat_fuse, nt_fuse
 from ntfusion.network import init_network
+from ntfusion.pruning import KeepPolicy, magnitude_prune, permute_units
 from ntfusion.tensor import RngStream
 
 
@@ -193,3 +196,99 @@ class TestHeaderFuzz:
         assert len(old) == len(new) and CONV_CKPT.count(old) == 1
         with pytest.raises(CorruptHeader):
             load_bytes(CONV_CKPT.replace(old, new))
+
+
+def conv_members(k, seed):
+    specs = [nw.conv(1, 3, 3, padding=1), nw.batchnorm(3), nw.relu(), nw.maxpool(2),
+             nw.flatten(), nw.linear(3 * 16, 5), nw.relu(), nw.linear(5, 3)]
+    return [init_network(specs, RngStream(seed + j, "origins")) for j in range(k)]
+
+
+def round_trip(net, tmp_path):
+    path = tmp_path / "o.ntckpt"
+    save_checkpoint(net, path)
+    return load_checkpoint(path)[0]
+
+
+def reversed_duplicate_concat():
+    """Two copies of one MLP with odd widths, concatenated, every hidden
+    layer's units reversed: each member's units now sit where the other's
+    were, so only the origin labels tell ties apart."""
+    member = init_network([nw.linear(4, 5), nw.relu(), nw.linear(5, 7), nw.relu(),
+                           nw.linear(7, 3)], RngStream(3, "dup"))
+    big = concat_fuse(EnsembleBundle([member, member.clone()]))
+    return permute_units(big, {c.layer: np.arange(c.units)[::-1]
+                               for c in nw.hidden_couplings(big)})
+
+
+class TestOrigins:
+    @pytest.mark.parametrize("fuse_fn", [nt_fuse, concat_fuse])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_fused_round_trip_keeps_origins(self, tmp_path, fuse_fn, k):
+        fused = fuse_fn(EnsembleBundle(conv_members(k, 20)))
+        assert fused.origins is not None
+        oracles.assert_same_network(round_trip(fused, tmp_path), fused)
+
+    def test_unfused_network_loads_without_origins(self, tmp_path):
+        net = conv_members(1, 5)[0]
+        assert round_trip(net, tmp_path).origins is None
+
+    @pytest.mark.parametrize("policy", [KeepPolicy.sparsity(0.5), KeepPolicy.per_member([3, 2])])
+    def test_pruning_a_loaded_concat_matches_pruning_it_in_memory(self, tmp_path, policy):
+        net = reversed_duplicate_concat()
+        loaded = round_trip(net, tmp_path)
+        oracles.assert_same_network(magnitude_prune(loaded, policy), magnitude_prune(net, policy))
+        oracles.assert_same_network(loaded, net)
+
+    @pytest.mark.parametrize("origins", [
+        None,  # not an object
+        [0, 1],
+        {"1": [0, 0, 1, 1, 1, 0, 0]},  # the relu, not a unit layer
+        {"4": [0, 1, 0]},  # the head
+        {"9": [0, 1, 0]},  # past the last layer
+        {"x": [0]},
+        {"0": [0, 0, 1, 1, 1, 0]},  # one label short
+        {"0": [0, 0, 1, 1, 1, 0, 1, 1]},  # one label too many
+        {"0": [0, 0, 1, 1, 1, -1, 0]},
+        {"0": [0, 0, 1, 1, 1, 0.5, 0]},
+        {"0": [0, 0, 1, 1, 1, True, 0]},
+        {"0": [0, 0, 1, 1, 1, "1", 0]},
+        {"0": [0, 0, 1, 1, 1, 2**63, 0]},
+        {"0": "0011100"},
+    ])
+    def test_malformed_origins_raise_corrupt_header(self, tmp_path, origins):
+        path = tmp_path / "m.ntckpt"
+        save_checkpoint(init_network([nw.linear(4, 7), nw.relu(), nw.linear(7, 5), nw.relu(),
+                                      nw.linear(5, 3)], RngStream(1, "m")), path)
+        blob = path.read_bytes()
+        end = 12 + struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12:end])
+        header["origins"] = origins
+        new = json.dumps(header).encode()
+        path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[end:])
+        with pytest.raises(CorruptHeader):
+            load_checkpoint(path)
+
+
+def fused_ckpt_bytes():
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.ntckpt"
+        save_checkpoint(nt_fuse(EnsembleBundle(conv_members(2, 40))), path)
+        return path.read_bytes()
+
+
+FUSED_CKPT = fused_ckpt_bytes()
+FUSED_HEADER_END = 12 + struct.unpack("<I", FUSED_CKPT[8:12])[0]
+
+
+class TestOriginsFuzz:
+    @given(st.integers(FUSED_CKPT.index(b'"origins"'), FUSED_HEADER_END - 1),
+           st.integers(0, 255))
+    @settings(max_examples=200, deadline=None)
+    def test_corrupt_origins_load_or_raise_nterror(self, index, value):
+        blob = bytearray(FUSED_CKPT)
+        blob[index] = value
+        try:
+            load_bytes(bytes(blob))
+        except NTError:
+            pass

@@ -47,12 +47,12 @@ def sort_oracle_keep(norms, origins, keep):
 
 class TestUnitNorms:
     """The saliency NT ranks by: one L2 norm per hidden unit's incoming row
-    (bias included by default), taken over the hidden layers only."""
+    (bias included), taken over the hidden layers only."""
 
     def test_hand_norms(self):
         net = single_hidden_net([[3, 4], [0, 0]])
         p = net.params[0]
-        assert row_l2_norms(p["weight"], p["bias"], include_bias=False).tolist() == [5.0, 0.0]
+        assert row_l2_norms(p["weight"], p["bias"]).tolist() == [5.0, 0.0]
 
     def test_conv_filter_of_ones(self):
         norms = row_l2_norms(np.ones((1, 1, 3, 3), np.float32), np.zeros(1, np.float32))
@@ -260,16 +260,15 @@ class TestPruneConcat:
         members = [init_network(conv_hidden_specs(), RngStream(30 + j, "pc")) for j in range(k)]
         big = oracles.concat_fuse(EnsembleBundle(members))
         quotas = [6 // k + (1 if j < 6 % k else 0) for j in range(k)]
-        cases = [
-            (KeepPolicy.per_member(quotas), True),
-            (KeepPolicy.per_member([1] * k), True),
-            (KeepPolicy.sparsity(0.5), False),
-            (KeepPolicy.keep_counts([5, 1, 6 * k]), True),
+        policies = [
+            KeepPolicy.per_member(quotas),
+            KeepPolicy.per_member([1] * k),
+            KeepPolicy.sparsity(0.5),
+            KeepPolicy.keep_counts([5, 1, 6 * k]),
         ]
-        for policy, include_bias in cases:
-            oracles.assert_same_network(
-                prune_concat(members, policy, include_bias),
-                oracles.magnitude_prune(big, policy, include_bias))
+        for policy in policies:
+            oracles.assert_same_network(prune_concat(members, policy),
+                                        oracles.magnitude_prune(big, policy))
 
     def test_one_source_matches_pre_gather_prune(self):
         for seed in range(20):

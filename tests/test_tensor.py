@@ -105,8 +105,8 @@ class TestRowL2Norms:
     def test_bias_excluded_when_flagged(self):
         w = np.array([[3.0, 4.0]], dtype=np.float32)
         b = np.array([12.0], dtype=np.float32)
-        np.testing.assert_allclose(row_l2_norms(w, b, include_bias=False), [5.0])
-        np.testing.assert_allclose(row_l2_norms(w, b, include_bias=True), [13.0])
+        np.testing.assert_allclose(row_l2_norms(w), [5.0])
+        np.testing.assert_allclose(row_l2_norms(w, b), [13.0])
 
     def test_conv_filter_rows(self):
         w = np.ones((2, 1, 3, 3), dtype=np.float32)

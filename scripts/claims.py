@@ -21,10 +21,18 @@ Rerun from the repo root: `python scripts/claims.py [SPEC_DIR [OUT_PATH]]`.
 """
 
 import json
+import os
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+if __name__ == "__main__":
+    # One BLAS thread unless the caller chose: before numpy loads, as OpenBLAS
+    # reads these once. The specs' GEMMs are too small for a second thread to
+    # pay off, and it spins on them. Importers keep their own environment.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))

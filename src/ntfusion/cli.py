@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error (synopsis on stderr), 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -30,7 +31,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="ntfuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -256,7 +259,7 @@ _HANDLERS = {
 
 
 def cli_dispatch(argv) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)

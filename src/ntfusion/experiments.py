@@ -102,16 +102,20 @@ def build_dataset(desc: dict) -> tuple[Dataset, Dataset]:
                             num_classes, "train")
         test_ds = load_idx(_get(desc, "test_images", str), _get(desc, "test_labels", str),
                            num_classes, "test")
-        if _get(desc, "limit_train", int, 0):
-            train_ds = train_ds.subset(np.arange(desc["limit_train"]))
-        if _get(desc, "limit_test", int, 0):
-            test_ds = test_ds.subset(np.arange(desc["limit_test"]))
-        return train_ds, test_ds
+        return (_first_rows(train_ds, _get(desc, "limit_train", int, 0), "limit_train"),
+                _first_rows(test_ds, _get(desc, "limit_test", int, 0), "limit_test"))
     if kind == "csv":
         ds = load_csv(_get(desc, "path", str), _get(desc, "num_classes", int, None))
         return train_test_split(ds, _get(desc, "test_fraction", float, 0.25),
                                 _get(desc, "seed", int, 0))
     raise InvalidArg(f"unknown dataset kind {kind!r}")
+
+
+def _first_rows(ds: Dataset, limit: int, key: str) -> Dataset:
+    """The first `limit` rows of `ds`; 0 keeps them all."""
+    if not 0 <= limit <= len(ds):
+        raise BadSpec(f"spec key {key!r} must be 0 (no limit) or 1..{len(ds)}, got {limit}")
+    return ds.subset(np.arange(limit)) if limit else ds
 
 
 def build_arch(template: dict) -> list[LayerSpec]:

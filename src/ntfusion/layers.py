@@ -7,9 +7,22 @@ multiplied, so the backward does not rebuild them; maxpool keeps
 Layer sequencing, parameter storage, and dispatch live in the network
 module.
 
-The conv, batchnorm and maxpool kernels match the slow paths kept in
-tests/oracles.py bit for bit on finite input. Non-finite input is out of
-scope: the next conv or linear rejects it through tensor._checked.
+Kernels read their arguments and return new arrays, with three
+exceptions. Train-mode bn_forward updates the running buffers in place.
+bn_backward and relu_backward write their input gradient into dout's
+buffer when called with overwrite_dout=True; network.backprop does so for
+every gradient it allocated itself, which is all but the logits gradient.
+conv_backward and linear_backward skip the input gradient when called
+with input_grad=False, as backprop does for the first layer with
+parameters, whose input gradient nothing reads.
+
+conv_backward builds its input gradient in the padded-width layout of
+tensor._col2im, which adds each kernel offset's columns in one long run;
+the addends reach each input element in the same order as before, so the
+sums are unchanged. The conv, batchnorm, relu and maxpool kernels and
+network.backprop match the slow paths kept in tests/oracles.py bit for bit
+on finite input. Non-finite input is out of scope: the next conv or linear
+rejects it through tensor._checked.
 """
 
 from __future__ import annotations
@@ -29,9 +42,9 @@ def linear_forward(x: Array, w: Array, b: Array):
     return out, (x, w)
 
 
-def linear_backward(dout: Array, cache):
+def linear_backward(dout: Array, cache, *, input_grad: bool = True):
     x, w = cache
-    dx = matmul(dout, w)
+    dx = matmul(dout, w) if input_grad else None
     dw = matmul(dout.T, x)
     db = dout.sum(axis=0)
     return dx, dw, db
@@ -43,15 +56,41 @@ def conv_forward(x: Array, w: Array, b: Array, stride: int, padding: int):
     return out, (cols, x.shape, w, stride, padding)
 
 
-def conv_backward(dout: Array, cache):
+def _widen(a: Array, out_h: int, out_w: int, wp: int) -> Array:
+    """(b, n, out_h*out_w) -> (b, n, (out_h - 1)*wp + out_w): each row of
+    out_w values starts wp columns after the previous one, zeros between."""
+    b, n = a.shape[:2]
+    wide = np.zeros((b, n, out_h * wp), dtype=np.float32)
+    wide.reshape(b, n, out_h, wp)[..., :out_w] = a.reshape(b, n, out_h, out_w)
+    return wide[..., : (out_h - 1) * wp + out_w]
+
+
+def conv_backward(dout: Array, cache, *, input_grad: bool = True):
+    """(dx, dw, db) of a conv; dx is None when `input_grad` is false.
+
+    dx needs w.T @ dout in the padded-width layout that `tensor._col2im`
+    adds in long runs: rows wp (the padded input width) columns apart. The
+    GEMM writes that layout itself from dout widened the same way. On the
+    tested OpenBLAS build a gemm's element bits do not depend on its column
+    count, but a gemv's do; so when w.T has one row or the product one
+    column (numpy's gemv cases), the GEMM runs on dout as it is and its
+    result is widened instead.
+    """
     cols, x_shape, w, stride, padding = cache
     o, _, kh, kw = w.shape
-    batch = dout.shape[0]
+    batch, _, out_h, out_w = dout.shape
     dout2 = dout.reshape(batch, o, -1)
     dw = np.tensordot(dout2, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
     db = dout.sum(axis=(0, 2, 3))
-    dcols = np.matmul(w.reshape(o, -1).T, dout2)
-    dx = _col2im(dcols, x_shape, kh, kw, stride, padding)
+    dx = None
+    if input_grad:
+        wt = w.reshape(o, -1).T
+        wp = x_shape[3] + 2 * padding
+        if wt.shape[0] > 1 and out_h * out_w > 1:
+            dcols = np.matmul(wt, _widen(dout2, out_h, out_w, wp))
+        else:
+            dcols = _widen(np.matmul(wt, dout2), out_h, out_w, wp)
+        dx = _col2im(dcols, x_shape, kh, kw, stride, padding)
     return dx, dw.astype(np.float32, copy=False), db
 
 
@@ -68,8 +107,10 @@ def bn_forward(x: Array, weight: Array, bias: Array, running_mean: Array,
         mu = x.mean(axis=(0, 2, 3))
         xhat = x - mu.reshape(1, -1, 1, 1)
         # The same reduction np.var runs on the centred input, so the
-        # variance is bit-identical to x.var(axis=(0, 2, 3)).
-        var = np.square(xhat).sum(axis=(0, 2, 3)) / n
+        # variance is bit-identical to x.var(axis=(0, 2, 3)). The squares'
+        # buffer is reused for the output.
+        out = np.square(xhat)
+        var = out.sum(axis=(0, 2, 3)) / n
         inv = 1.0 / np.sqrt(var + np.float32(BN_EPS))
         xhat *= inv.reshape(1, -1, 1, 1)
         unbiased = var * (n / (n - 1)) if n > 1 else var
@@ -79,17 +120,23 @@ def bn_forward(x: Array, weight: Array, bias: Array, running_mean: Array,
         running_var += np.float32(BN_MOMENTUM) * unbiased
     else:
         inv = 1.0 / np.sqrt(running_var + np.float32(BN_EPS))
-        xhat = (x - running_mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
-    out = weight.reshape(1, -1, 1, 1) * xhat + bias.reshape(1, -1, 1, 1)
+        xhat = x - running_mean.reshape(1, -1, 1, 1)
+        xhat *= inv.reshape(1, -1, 1, 1)
+        out = np.empty_like(xhat)
+    np.multiply(weight.reshape(1, -1, 1, 1), xhat, out=out)
+    out += bias.reshape(1, -1, 1, 1)
     return out, (xhat, weight, inv, mode)
 
 
-def bn_backward(dout: Array, cache):
+def bn_backward(dout: Array, cache, *, overwrite_dout: bool = False):
+    """(dx, dweight, dbias) of a batch norm; with `overwrite_dout`, dx is
+    written into dout's buffer."""
     xhat, weight, inv, mode = cache
     scratch = dout * xhat
     dweight = scratch.sum(axis=(0, 2, 3))
     dbias = dout.sum(axis=(0, 2, 3))
-    dx = dout * weight.reshape(1, -1, 1, 1)  # dxhat, turned into dx in place
+    # dxhat, turned into dx in place
+    dx = np.multiply(dout, weight.reshape(1, -1, 1, 1), out=dout if overwrite_dout else None)
     if mode == "train":
         # (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
         # evaluated in that order in two reused buffers.
@@ -161,5 +208,7 @@ def relu_forward(x: Array):
     return np.maximum(x, np.float32(0.0)), x
 
 
-def relu_backward(dout: Array, cache):
-    return dout * (cache > 0)
+def relu_backward(dout: Array, cache, *, overwrite_dout: bool = False):
+    """dout where the forward input was positive, else ±0.0 (dout times the
+    0/1 mask); with `overwrite_dout`, written into dout's buffer."""
+    return np.multiply(dout, cache > 0, out=dout if overwrite_dout else None)

@@ -243,26 +243,35 @@ def forward(net: Network, batch: Array, mode: Mode = "eval") -> Array:
 
 
 def backprop(net: Network, caches: list, dlogits: Array) -> list[dict[str, Array]]:
-    """Chain-rule pass from a logits gradient down to per-parameter grads."""
+    """Chain-rule pass from a logits gradient down to per-parameter grads.
+
+    The pass stops at the first layer with parameters: its input gradient
+    is not computed, since no earlier layer reads it. Every gradient after
+    `dlogits` is a buffer this pass allocated, so ReLU and BatchNorm write
+    their input gradient into it instead of into a new one; `dlogits` itself
+    is only read.
+    """
     grads: list[dict[str, Array]] = [{} for _ in net.specs]
+    first = min(i for i, s in enumerate(net.specs) if s.kind in PARAM_ORDER)
     dx = dlogits
-    for i in range(len(net.specs) - 1, -1, -1):
+    for i in range(len(net.specs) - 1, first - 1, -1):
         k = net.specs[i].kind
+        owned = dx is not dlogits
         if k is LayerKind.LINEAR:
-            dx, dw, db = layers.linear_backward(dx, caches[i])
+            dx, dw, db = layers.linear_backward(dx, caches[i], input_grad=i > first)
             grads[i] = {"weight": dw, "bias": db}
         elif k is LayerKind.CONV2D:
-            dx, dw, db = layers.conv_backward(dx, caches[i])
+            dx, dw, db = layers.conv_backward(dx, caches[i], input_grad=i > first)
             grads[i] = {"weight": dw, "bias": db}
         elif k is LayerKind.BATCHNORM2D:
-            dx, dw, db = layers.bn_backward(dx, caches[i])
+            dx, dw, db = layers.bn_backward(dx, caches[i], overwrite_dout=owned)
             grads[i] = {"weight": dw, "bias": db}
         elif k is LayerKind.MAXPOOL2D:
             dx = layers.maxpool_backward(dx, caches[i])
         elif k is LayerKind.FLATTEN:
             dx = layers.flatten_backward(dx, caches[i])
         else:
-            dx = layers.relu_backward(dx, caches[i])
+            dx = layers.relu_backward(dx, caches[i], overwrite_dout=owned)
     return grads
 
 

@@ -46,7 +46,9 @@ def _im2col(x: Array, kh: int, kw: int, stride: int, padding: int) -> Array:
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=np.float32)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+        x = xp
     cols = np.empty((b, c, kh, kw, out_h, out_w), dtype=np.float32)
     for i in range(kh):
         for j in range(kw):
@@ -55,17 +57,33 @@ def _im2col(x: Array, kh: int, kw: int, stride: int, padding: int) -> Array:
 
 
 def _col2im(cols: Array, x_shape: tuple, kh: int, kw: int, stride: int, padding: int) -> Array:
-    """Scatter-add patch gradients back onto the (padded) input grid."""
+    """Scatter-add patch gradients back onto the input grid.
+
+    `cols` is (batch, in_ch*kh*kw, (out_h - 1)*wp + out_w) in the
+    padded-width layout, wp being the padded input width: output row y
+    starts at column y*wp, its out_w real columns are followed by zeros up
+    to the next row, and the last row ends after its real columns. For
+    kernel offset (i, j), column t of that layout belongs to padded-grid
+    element i*wp + j + stride*t in flat order, so each offset is one add
+    over a strided flat range of about out_h*wp elements instead of out_h
+    runs of out_w. The zero columns (±0.0) land on grid elements that
+    offset does not otherwise reach.
+
+    Each grid element still receives its addends in (i, j) order, in a sum
+    that starts at +0.0 and so is never -0.0; adding ±0.0 to it leaves its
+    bits unchanged, so the result is bit-identical to adding only the real
+    columns.
+    """
     b, c, h, w = x_shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    cols = cols.reshape(b, c, kh, kw, out_h, out_w)
-    grad = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=np.float32)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    run = cols.shape[-1]
+    cols = cols.reshape(b, c, kh * kw, run)
+    grad = np.zeros((b, c, hp * wp), dtype=np.float32)
     for i in range(kh):
         for j in range(kw):
-            grad[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[:, :, i, j]
-    if padding:
-        grad = grad[:, :, padding:-padding, padding:-padding]
+            start = i * wp + j
+            grad[:, :, start : start + stride * (run - 1) + 1 : stride] += cols[:, :, i * kw + j]
+    grad = grad.reshape(b, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
     return np.ascontiguousarray(grad)
 
 

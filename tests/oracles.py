@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 import math
 
-from ntfusion import network, training
+from ntfusion import layers, network, training
 from ntfusion.errors import EmptyLayer, InvalidArg
 from ntfusion.fusion import EnsembleBundle, vanilla_average
 from ntfusion.layers import BN_EPS, BN_MOMENTUM
@@ -24,7 +24,7 @@ from ntfusion.network import (
     hidden_couplings,
 )
 from ntfusion.pruning import KeepPolicy
-from ntfusion.tensor import Array, _col2im, _im2col, conv2d, row_l2_norms
+from ntfusion.tensor import Array, _im2col, conv2d, row_l2_norms
 
 
 def rel_error(a, b):
@@ -140,9 +140,27 @@ def check_gradients(net, x, y, tol=1e-3, eps=1e-3, loss="cross_entropy",
 
 # Slow-path layer kernels, kept verbatim from before the fast paths in
 # `ntfusion.layers` replaced them. The fast paths must match these bit for
-# bit on finite input: conv rebuilds its im2col columns in the backward,
-# batchnorm takes np.var, and maxpool routes through argmax (first index
-# wins ties) with take_along_axis / put_along_axis.
+# bit on finite input: conv rebuilds its im2col columns in the backward and
+# scatter-adds them with `_col2im` in out_h runs of out_w elements,
+# batchnorm takes np.var and fresh buffers, relu multiplies into a new
+# array, maxpool routes through argmax (first index wins ties) with
+# take_along_axis / put_along_axis, and `backprop` computes every layer's
+# input gradient, the first layer's included.
+
+
+def _col2im(cols: Array, x_shape: tuple, kh: int, kw: int, stride: int, padding: int) -> Array:
+    """Scatter-add patch gradients back onto the (padded) input grid."""
+    b, c, h, w = x_shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    cols = cols.reshape(b, c, kh, kw, out_h, out_w)
+    grad = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            grad[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[:, :, i, j]
+    if padding:
+        grad = grad[:, :, padding:-padding, padding:-padding]
+    return np.ascontiguousarray(grad)
 
 
 def conv_forward(x: Array, w: Array, b: Array, stride: int, padding: int):
@@ -228,6 +246,34 @@ def maxpool_backward(dout: Array, cache):
     dx = np.zeros(x_shape, dtype=np.float32)
     dx[:, :, : oh * window, : ow * window] = dwin.reshape(b, c, oh * window, ow * window)
     return dx
+
+
+def relu_backward(dout: Array, cache):
+    return dout * (cache > 0)
+
+
+def backprop(net: Network, caches: list, dlogits: Array) -> list[dict[str, Array]]:
+    """Chain-rule pass from a logits gradient down to per-parameter grads."""
+    grads: list[dict[str, Array]] = [{} for _ in net.specs]
+    dx = dlogits
+    for i in range(len(net.specs) - 1, -1, -1):
+        k = net.specs[i].kind
+        if k is LayerKind.LINEAR:
+            dx, dw, db = layers.linear_backward(dx, caches[i])
+            grads[i] = {"weight": dw, "bias": db}
+        elif k is LayerKind.CONV2D:
+            dx, dw, db = layers.conv_backward(dx, caches[i])
+            grads[i] = {"weight": dw, "bias": db}
+        elif k is LayerKind.BATCHNORM2D:
+            dx, dw, db = layers.bn_backward(dx, caches[i])
+            grads[i] = {"weight": dw, "bias": db}
+        elif k is LayerKind.MAXPOOL2D:
+            dx = layers.maxpool_backward(dx, caches[i])
+        elif k is LayerKind.FLATTEN:
+            dx = layers.flatten_backward(dx, caches[i])
+        else:
+            dx = layers.relu_backward(dx, caches[i])
+    return grads
 
 
 # The layer-wise concatenation, structured pruning and pairwise NT as they

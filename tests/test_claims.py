@@ -3,6 +3,7 @@ the committed specs."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,16 @@ def gate_run(tmp_path_factory):
     out = spec_dir.parent / "BENCH_claims.json"
     code = gate.main(spec_dir, out)
     return gate, spec_dir, out, code
+
+
+def test_import_leaves_blas_threads_alone(monkeypatch):
+    """Only a script run pins the BLAS threads; an importer's environment
+    stays as it was."""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas:
+        monkeypatch.delenv(var, raising=False)
+    load_gate()
+    assert not any(var in os.environ for var in blas)
 
 
 def test_committed_specs_cover_every_claim(gate_run):

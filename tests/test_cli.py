@@ -2,14 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ntfusion import cli
 from ntfusion import network as nw
 from ntfusion.checkpoint import load_checkpoint, save_checkpoint
 from ntfusion.cli import cli_dispatch
 from ntfusion.tensor import RngStream
+from test_data import write_idx_pair
 
 
 @pytest.fixture()
@@ -65,6 +68,33 @@ class TestExitCodes:
         assert run(["prune", "--in", workdir / "a.ckpt", "--out", workdir / "p.ckpt"]) == 1
         assert run(["prune", "--in", workdir / "a.ckpt", "--sparsity", "0.5",
                     "--keep-counts", "8", "--out", workdir / "p.ckpt"]) == 1
+
+    def test_shared_parser_matches_fresh_parsers(self, workdir, capsys):
+        """The parser is built once per process; usage errors between valid
+        commands give the same codes and output as a new parser per call."""
+        ckpt = workdir / "a.ckpt"
+        commands = [
+            ["eval", "--nope", "x"],
+            ["train", "--spec", workdir / "train.json", "--out", ckpt],
+            ["fuse", "--method", "bogus", "--in", ckpt, ckpt, "--out", workdir / "f.ckpt"],
+            ["prune", "--in", ckpt, "--sparsity", "0.5", "--out", workdir / "p.ckpt"],
+            [],
+            ["eval", "--in", ckpt, "--data", workdir / "data.json"],
+            ["prune", "--in", ckpt, "--out", workdir / "p.ckpt"],
+        ]
+
+        def outcomes(fresh):
+            results = []
+            for args in commands:
+                if fresh:
+                    cli._parser.cache_clear()
+                code = run(args)
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        shared = outcomes(fresh=False)
+        assert [r[0] for r in shared] == [1, 0, 1, 0, 1, 0, 1]
+        assert shared == outcomes(fresh=True)
 
 
 class TestPlumbing:
@@ -278,6 +308,31 @@ class TestBadSpec:
         (workdir / "train.json").write_text(json.dumps(doc))
         assert run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def idx_spec(self, tmp_path, **limits):
+        """An MLP pipeline on hand-built IDX files: 20 train rows, 8 test rows."""
+        rng = np.random.default_rng(0)
+        dataset = {"kind": "idx", "num_classes": 3, **limits}
+        for split, n in (("train", 20), ("test", 8)):
+            (tmp_path / split).mkdir()
+            images, labels = write_idx_pair(tmp_path / split, rng.integers(0, 256, (n, 4, 4)),
+                                            np.arange(n) % 3)
+            dataset[f"{split}_images"], dataset[f"{split}_labels"] = str(images), str(labels)
+        return dict(small_spec(), dataset=dataset,
+                    arch={"type": "mlp", "in_features": 16, "hidden": [8], "classes": 3})
+
+    @pytest.mark.parametrize("limits", [{}, {"limit_train": 0, "limit_test": 0},
+                                        {"limit_train": 20, "limit_test": 8},
+                                        {"limit_train": 1, "limit_test": 1}], ids=str)
+    def test_idx_limits_in_range_run(self, tmp_path, capsys, limits):
+        assert self.run_spec(tmp_path, capsys, self.idx_spec(tmp_path, **limits)) == (0, "")
+
+    @pytest.mark.parametrize("key,value", [("limit_train", 21), ("limit_train", 50),
+                                           ("limit_train", -3), ("limit_test", 9),
+                                           ("limit_test", -1)])
+    def test_idx_limit_out_of_range_exits_2(self, tmp_path, capsys, key, value):
+        code, err = self.run_spec(tmp_path, capsys, self.idx_spec(tmp_path, **{key: value}))
+        assert code == 2 and err.startswith(f"error: spec key {key!r}")
 
     def test_malformed_csv_dataset_exits_2(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -5,6 +5,8 @@ running buffers must have the same shape, dtype and bytes, so a +0.0 / -0.0
 difference fails too.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ import oracles
 from ntfusion import layers
 from ntfusion import network as nw
 from ntfusion.data import BatchPlan, Dataset
+from ntfusion.losses import cross_entropy
 from ntfusion.tensor import RngStream
 from ntfusion.training import TrainConfig, train
 
@@ -45,9 +48,13 @@ def check_conv(x, w, b, stride, padding, rng):
     want, want_cache = oracles.conv_forward(x, w, b, stride, padding)
     assert_bits_equal(out, want)
     dout = rng.standard_normal(out.shape).astype(np.float32)
-    for got, exp in zip(layers.conv_backward(dout, cache),
-                        oracles.conv_backward(dout, want_cache)):
+    want_grads = oracles.conv_backward(dout, want_cache)
+    for got, exp in zip(layers.conv_backward(dout, cache), want_grads):
         assert_bits_equal(got, exp)
+    dx, dw, db = layers.conv_backward(dout, cache, input_grad=False)
+    assert dx is None
+    assert_bits_equal(dw, want_grads[1])
+    assert_bits_equal(db, want_grads[2])
 
 
 def check_bn(x, mode, rng):
@@ -67,9 +74,14 @@ def check_bn(x, mode, rng):
         assert_bits_equal(rm, mean0)
         assert_bits_equal(rv, var0)
     dout = rng.standard_normal(out.shape).astype(np.float32)
-    for got, exp in zip(layers.bn_backward(dout, cache),
-                        oracles.bn_backward(dout, want_cache)):
+    want_grads = oracles.bn_backward(dout, want_cache)
+    for got, exp in zip(layers.bn_backward(dout, cache), want_grads):
         assert_bits_equal(got, exp)
+    owned = dout.copy()
+    got = layers.bn_backward(owned, cache, overwrite_dout=True)
+    assert got[0] is owned
+    for g, exp in zip(got, want_grads):
+        assert_bits_equal(g, exp)
 
 
 class TestMaxpool:
@@ -133,9 +145,9 @@ class TestConv:
         check_conv(x, w, b, stride, padding, rng)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3),
-           st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
            st.integers(1, 2), st.integers(0, 2), st.integers(0, 5), st.integers(0, 5))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_random_shapes(self, seed, b, cin, cout, kh, kw, stride, padding, dh, dw):
         rng = np.random.default_rng(seed)
         h = max(1, kh - 2 * padding) + dh
@@ -144,6 +156,33 @@ class TestConv:
         w = rng.standard_normal((cout, cin, kh, kw)).astype(np.float32)
         bias = rng.standard_normal(cout).astype(np.float32)
         check_conv(x, w, bias, stride, padding, rng)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("hw", [(5, 5), (8, 7), (15, 15), (16, 16)])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_grid(self, k, stride, padding, hw, cin):
+        """Every stride/padding/kernel pairing at batch 1, on odd, even and
+        pool-cropped sizes; one input channel with k=1 makes w.T one row."""
+        rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+        x = rng.standard_normal((1, cin, *hw)).astype(np.float32)
+        w = rng.standard_normal((4, cin, k, k)).astype(np.float32)
+        check_conv(x, w, rng.standard_normal(4).astype(np.float32), stride, padding, rng)
+
+
+class TestRelu:
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(20)
+        x = tie_heavy(rng, (5, 3, 4, 4))
+        out, cache = layers.relu_forward(x)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        want = oracles.relu_backward(dout, cache)
+        assert_bits_equal(layers.relu_backward(dout, cache), want)
+        owned = dout.copy()
+        got = layers.relu_backward(owned, cache, overwrite_dout=True)
+        assert got is owned
+        assert_bits_equal(got, want)
 
 
 class TestBatchNorm:
@@ -164,13 +203,132 @@ class TestBatchNorm:
         check_bn(x, mode, rng)
 
 
+def arrays_in(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from arrays_in(item)
+
+
+def assert_inputs_kept(fn, *args, **kwargs):
+    """Call fn and check that no array among its arguments (caches
+    included) changed a byte."""
+    arrays = list(arrays_in(args))
+    before = [a.tobytes() for a in arrays]
+    out = fn(*args, **kwargs)
+    assert [a.tobytes() for a in arrays] == before
+    return out
+
+
+class TestBufferOwnership:
+    """Every public kernel reads its inputs and writes only new arrays;
+    only an explicit overwrite_dout hands dout's buffer over, and only
+    train-mode batch norm updates the running buffers."""
+
+    KERNELS = {"linear_forward", "linear_backward", "conv_forward", "conv_backward",
+               "bn_forward", "bn_backward", "maxpool_forward", "maxpool_backward",
+               "flatten_forward", "flatten_backward", "relu_forward", "relu_backward"}
+
+    def test_every_public_kernel_is_covered(self):
+        public = {name for name, fn in vars(layers).items()
+                  if inspect.isfunction(fn) and fn.__module__ == layers.__name__
+                  and not name.startswith("_")}
+        assert public == self.KERNELS
+
+    @staticmethod
+    def normal(rng, *shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    def test_linear(self):
+        rng = np.random.default_rng(30)
+        x, w, b = self.normal(rng, 5, 4), self.normal(rng, 3, 4), self.normal(rng, 3)
+        out, cache = assert_inputs_kept(layers.linear_forward, x, w, b)
+        dout = self.normal(rng, *out.shape)
+        assert_inputs_kept(layers.linear_backward, dout, cache)
+        assert_inputs_kept(layers.linear_backward, dout, cache, input_grad=False)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 2)])
+    def test_conv(self, stride, padding):
+        rng = np.random.default_rng(31)
+        x, w, b = self.normal(rng, 2, 3, 7, 9), self.normal(rng, 4, 3, 3, 3), self.normal(rng, 4)
+        out, cache = assert_inputs_kept(layers.conv_forward, x, w, b, stride, padding)
+        dout = self.normal(rng, *out.shape)
+        assert_inputs_kept(layers.conv_backward, dout, cache)
+        assert_inputs_kept(layers.conv_backward, dout, cache, input_grad=False)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batchnorm(self, mode):
+        rng = np.random.default_rng(32)
+        x, weight, bias = self.normal(rng, 4, 3, 5, 5), self.normal(rng, 3), self.normal(rng, 3)
+        running_mean, running_var = self.normal(rng, 3), rng.uniform(0.5, 2, 3).astype(np.float32)
+        stats = [running_mean.copy(), running_var.copy()]
+        out, cache = assert_inputs_kept(
+            lambda *a: layers.bn_forward(*a, *stats, mode), x, weight, bias)
+        if mode == "eval":
+            assert_bits_equal(stats[0], running_mean)
+            assert_bits_equal(stats[1], running_var)
+        assert_inputs_kept(layers.bn_backward, self.normal(rng, *out.shape), cache)
+
+    def test_maxpool(self):
+        rng = np.random.default_rng(33)
+        out, cache = assert_inputs_kept(layers.maxpool_forward, tie_heavy(rng, (2, 3, 7, 9)), 2)
+        assert_inputs_kept(layers.maxpool_backward, self.normal(rng, *out.shape), cache)
+
+    def test_flatten_and_relu(self):
+        rng = np.random.default_rng(34)
+        x = tie_heavy(rng, (2, 3, 4, 4))
+        out, cache = assert_inputs_kept(layers.flatten_forward, x)
+        assert_inputs_kept(layers.flatten_backward, self.normal(rng, *out.shape), cache)
+        out, cache = assert_inputs_kept(layers.relu_forward, x)
+        assert_inputs_kept(layers.relu_backward, self.normal(rng, *out.shape), cache)
+
+
+BACKPROP_NETS = {
+    "bench-like-16": [nw.conv(1, 4, 3, padding=1), nw.batchnorm(4), nw.relu(), nw.maxpool(2),
+                      nw.conv(4, 6, 3, padding=1), nw.batchnorm(6), nw.relu(), nw.maxpool(2),
+                      nw.flatten(), nw.linear(6 * 4 * 4, 8), nw.relu(), nw.linear(8, 3)],
+    "cropped-15": [nw.conv(1, 5, 3, padding=1), nw.batchnorm(5), nw.relu(), nw.maxpool(2),
+                   nw.conv(5, 7, 3, padding=1), nw.batchnorm(7), nw.relu(), nw.maxpool(2),
+                   nw.flatten(), nw.linear(7 * 3 * 3, 9), nw.relu(), nw.linear(9, 3)],
+    "strided-no-bn": [nw.conv(1, 3, 5, stride=2, padding=2), nw.relu(), nw.maxpool(2),
+                      nw.flatten(), nw.linear(3 * 4 * 4, 3)],
+    "mlp": [nw.flatten(), nw.linear(16 * 16, 8), nw.relu(), nw.linear(8, 3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKPROP_NETS))
+@pytest.mark.parametrize("batch", [1, 37])
+def test_backprop_matches_oracle(name, batch):
+    """Every parameter gradient bit-identical to the slow `backprop`, which
+    computes the first layer's input gradient and allocates every buffer;
+    the logits gradient is only read."""
+    specs = BACKPROP_NETS[name]
+    hw = 15 if name == "cropped-15" else 16
+    rng = np.random.default_rng(batch)
+    net = nw.init_network(specs, RngStream(6, "init"))
+    x = rng.standard_normal((batch, 1, hw, hw)).astype(np.float32)
+    logits, caches = nw.forward_cached(net, x, "train")
+    _, dlogits = cross_entropy(logits, rng.integers(0, 3, size=batch))
+    kept = dlogits.copy()
+    want = oracles.backprop(net, caches, dlogits)
+    got = nw.backprop(net, caches, dlogits)
+    assert_bits_equal(dlogits, kept)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key in g:
+            assert_bits_equal(g[key], w[key])
+
+
 ORACLE_KERNELS = ("conv_forward", "conv_backward", "bn_forward", "bn_backward",
-                  "maxpool_forward", "maxpool_backward")
+                  "maxpool_forward", "maxpool_backward", "relu_backward")
 
 
 def test_sgd_steps_match_oracle_kernels(monkeypatch):
     """A few epochs of SGD on a conv+BN+pool net give bit-identical
-    parameters, running buffers and logits with the slow kernels patched in."""
+    parameters, running buffers and logits with the slow kernels and the
+    slow `backprop` patched in."""
     specs = [
         nw.conv(1, 4, 3, stride=1, padding=1), nw.batchnorm(4), nw.relu(), nw.maxpool(2),
         nw.conv(4, 6, 3, stride=2, padding=1), nw.batchnorm(6), nw.relu(), nw.maxpool(2),
@@ -185,6 +343,7 @@ def test_sgd_steps_match_oracle_kernels(monkeypatch):
     fast, _ = train(net, ds, ds, cfg)
     for name in ORACLE_KERNELS:
         monkeypatch.setattr(layers, name, getattr(oracles, name))
+    monkeypatch.setattr(nw, "backprop", oracles.backprop)
     slow, _ = train(net, ds, ds, cfg)
     slow_logits = nw.forward(slow, x)
     monkeypatch.undo()

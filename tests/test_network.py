@@ -20,8 +20,9 @@ from ntfusion.network import (
 )
 from ntfusion.pruning import permute_units
 from ntfusion.tensor import RngStream
+from ntfusion.training import KdConfig
 
-from oracles import check_gradients, rel_error
+from oracles import assert_same_network, check_gradients, rel_error
 
 
 def mlp_specs(dims):
@@ -130,6 +131,46 @@ class TestBackward:
         x = RngStream(12).normal((4, 1, 8, 8))
         nw.forward(net, x, "train")
         assert not np.array_equal(before, net.params[bn_idx]["running_mean"])
+
+
+class TestBackwardOwnership:
+    """`backward` writes only buffers it allocated: the batch, the teacher
+    logits and the parameters stay as they were, and the running stats move
+    only by the train-mode forward's own update."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "kd"])
+    def test_inputs_untouched(self, mode, loss):
+        net = random_convnet(13)
+        x = RngStream(14, "test/x").normal((4, 1, 8, 8))
+        y = np.array([0, 1, 2, 3])
+        teacher = RngStream(15, "test/t").normal((4, 5)) if loss == "kd" else None
+        kd_cfg = KdConfig(2.0, 0.5) if loss == "kd" else None
+        kept = [a.copy() for a in (x, y, teacher) if a is not None]
+        want = net.clone()
+        forward(want, x, mode)  # the running-stat update alone
+        nw.backward(net, x, y, loss=loss, mode=mode, teacher_logits=teacher, kd_cfg=kd_cfg)
+        for a, b in zip((x, y, teacher), kept):
+            assert a.tobytes() == b.tobytes()
+        assert_same_network(net, want)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("make", ["mlp", "convnet"])
+    def test_repeated_calls_give_equal_gradients(self, mode, make):
+        if make == "mlp":
+            net = init_network(mlp_specs([5, 8, 6, 4]), RngStream(16, "test/mlp"))
+            x = RngStream(17, "test/x").normal((6, 5))
+        else:
+            net = random_convnet(16)
+            x = RngStream(17, "test/x").normal((6, 1, 8, 8))
+        y = np.array([0, 1, 2, 3, 0, 1])
+        loss_a, grads_a = nw.backward(net, x, y, mode=mode)
+        loss_b, grads_b = nw.backward(net, x, y, mode=mode)
+        assert loss_a == loss_b
+        for ga, gb in zip(grads_a, grads_b):
+            assert ga.keys() == gb.keys()
+            for key in ga:
+                assert ga[key].tobytes() == gb[key].tobytes()
 
 
 class TestTopology:

@@ -185,9 +185,9 @@ def nt_fuse(bundle: EnsembleBundle, sparsity: Optional[float] = None) -> Network
     """Joint neuron transplantation: keep the highest-norm units of the
     members' layer-wise concatenation (default: one member's widths).
 
-    The result is bit-identical to pruning `concat_fuse(bundle)` but is
-    gathered straight from the members, so memory stays at the members plus
-    the result rather than the k-fold wider concatenation.
+    Units rank by their member's own norms (`pruning`'s norm rule), so the
+    result is bit-identical to pruning `concat_fuse(bundle)` but is gathered
+    straight from the members, in memory of the members plus the result.
     """
     _require_fusable(bundle)
     policy = (_member_widths(bundle.members[0]) if sparsity is None

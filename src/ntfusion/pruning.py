@@ -1,7 +1,15 @@
 """The members' layer-wise concatenation and structured unit selection on it:
 rank units by L2 norm and rebuild a genuinely smaller network, and reorder
 units, all through one coupled gather that moves each unit's row/filter,
-bias, BN channel, and downstream input slice together."""
+bias, BN channel, and downstream input slice together.
+
+The norm rule: a hidden unit's squared norm adds up, in ascending member
+(origin label) order, the sums of squares of the slices of its incoming row
+fed by each member's units of the previous hidden layer, then the bias
+squared; the input layer, or a network without labels, is one block. A
+concatenated unit's blocks of other members are zero and add exactly +0.0, so
+its norm is its member's own `row_l2_norms`, bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +29,7 @@ from .network import (
     check_specs,
     hidden_couplings,
 )
-from .tensor import row_l2_norms
+from .tensor import _block_norms, row_l2_norms
 
 
 @dataclass(frozen=True)
@@ -93,37 +101,22 @@ def _keep_indices(policy: KeepPolicy, pos: int, layer: int, norms: np.ndarray,
     return keep_idx
 
 
-def _concat_norms(sources: Sequence[Network], c: LayerCoupling, stacked: bool) -> np.ndarray:
-    """Row L2 norms of layer `c.layer` of the sources' concatenation, bit for
-    bit, without building it.
-
-    `stacked` marks the input-connected layer, whose concatenation only stacks
-    member rows. An interior member row sits at its member's column offset
-    among zeros, and einsum rounds such a padded row differently from the
-    bare row, so each member's rows are laid into one zeroed buffer of the
-    wide width (1/k of the wide layer) and measured there.
-    """
-    k = len(sources)
-    layers = [s.params[c.layer] for s in sources]
-    if stacked or k == 1:
-        return np.concatenate([row_l2_norms(p["weight"], p["bias"]) for p in layers])
-    n = layers[0]["weight"][0].size
-    buf = np.zeros((c.units, k * n), dtype=np.float32)
-    norms = []
-    for j, p in enumerate(layers):
-        if j:
-            buf[:, (j - 1) * n : j * n] = 0.0
-        buf[:, j * n : (j + 1) * n] = p["weight"].reshape(c.units, n)
-        norms.append(row_l2_norms(buf, p["bias"]))
-    return np.concatenate(norms)
-
-
-def _concat_origins(sources: Sequence[Network], c: LayerCoupling) -> Optional[np.ndarray]:
-    """Origin labels of layer `c.layer` in the sources' concatenation."""
-    if len(sources) > 1:
-        return np.repeat(np.arange(len(sources)), c.units)
-    origins = sources[0].origins
-    return origins.get(c.layer) if origins else None
+def _concat_ranking(sources: Sequence[Network], c: LayerCoupling,
+                    prev: Optional[LayerCoupling]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Unit norms (by the norm rule) and origin labels of layer `c.layer` of
+    the sources' concatenation, without building it; `prev` is the previous
+    hidden layer's coupling, None for the input-connected layer."""
+    if len(sources) > 1:  # each source is one member: its own norms
+        norms = [row_l2_norms(s.params[c.layer]["weight"], s.params[c.layer]["bias"])
+                 for s in sources]
+        return np.concatenate(norms), np.repeat(np.arange(len(sources)), c.units)
+    p, origins = sources[0].params[c.layer], sources[0].origins or {}
+    labels = origins.get(prev.layer) if prev is not None else None
+    if labels is None:
+        return row_l2_norms(p["weight"], p["bias"]), origins.get(c.layer)
+    blocks = [p["weight"].take(_unit_columns(np.flatnonzero(labels == j), prev.block), axis=1)
+              for j in np.unique(labels)]
+    return _block_norms(blocks, p["bias"]), origins.get(c.layer)
 
 
 def _member_slices(kept: np.ndarray, units: int, k: int) -> list[tuple[slice, np.ndarray]]:
@@ -256,28 +249,28 @@ def prune_concat(sources: Sequence[Network], policy: KeepPolicy) -> Network:
     """`magnitude_prune` of the layer-wise concatenation of `sources` (which
     share one architecture), built in memory of the sources plus the result.
 
-    Units are ranked by the norms the concatenation would have, ties broken
-    by its origin labels (member ids; a single source's own labels), and
-    gathered by `gather_units`; the output, origins included, is
-    bit-identical to pruning the concatenated network. One source is plain
-    structured pruning of it.
+    Units are ranked by the module's norm rule (each of k sources' units by
+    that source's own norms), ties broken by origin labels (member ids; a
+    single source's own labels), and gathered by `gather_units`; the output,
+    origins included, is bit-identical to pruning the concatenated network.
+    One source is plain structured pruning of it.
     """
     couplings = hidden_couplings(sources[0])
     if policy.mode == "keep_counts" and len(policy.counts) != len(couplings):
         raise InvalidArg(f"need {len(couplings)} keep counts, got {len(policy.counts)}")
-    labels = [_concat_origins(sources, c) for c in couplings]
-    kept = [_keep_indices(policy, pos, c.layer,
-                          _concat_norms(sources, c, pos == 0), labels[pos])
-            for pos, c in enumerate(couplings)]
+    ranked = [_concat_ranking(sources, c, couplings[pos - 1] if pos else None)
+              for pos, c in enumerate(couplings)]
+    kept = [_keep_indices(policy, pos, c.layer, *ranked[pos]) for pos, c in enumerate(couplings)]
     out = gather_units(sources, couplings, kept)
-    out.origins = {c.layer: o[keep] for c, o, keep in zip(couplings, labels, kept)
+    out.origins = {c.layer: o[keep] for c, (_, o), keep in zip(couplings, ranked, kept)
                    if o is not None} or None
     return out
 
 
 def magnitude_prune(net: Network, policy: KeepPolicy) -> Network:
-    """Keep the top units per hidden layer by incoming L2 norm (bias included;
-    ties broken by origin member then index) and rebuild a smaller network.
+    """Keep the top units per hidden layer by incoming L2 norm (the module's
+    norm rule; ties broken by origin member then index) and rebuild a
+    smaller network.
 
     Surviving parameters are bit-identical and keep their relative order.
     """

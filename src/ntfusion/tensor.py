@@ -126,12 +126,18 @@ def row_l2_norms(w, bias=None) -> Array:
     w = as_f32(w)
     if w.ndim < 2:
         raise ShapeMismatch(f"row_l2_norms needs >= 2-D input, got shape {w.shape}")
-    flat = w.reshape(w.shape[0], -1)
-    sq = np.einsum("ij,ij->i", flat, flat)
+    return _block_norms([w], bias)
+
+
+def _block_norms(blocks, bias=None) -> Array:
+    """Row L2 norms of float32 column blocks laid side by side: each block's
+    row sums of squares, added in block order, plus the bias squared."""
+    flats = [w.reshape(w.shape[0], -1) for w in blocks]
+    sq = sum(np.einsum("ij,ij->i", f, f) for f in flats)  # 0 + the first block is exact
     if bias is not None:
         b = as_f32(bias)
-        if b.shape != (w.shape[0],):
-            raise ShapeMismatch(f"bias length {b.shape} does not match {w.shape[0]} rows")
+        if b.shape != sq.shape:
+            raise ShapeMismatch(f"bias length {b.shape} does not match {len(sq)} rows")
         sq = sq + b * b
     return _checked(np.sqrt(sq), "row_l2_norms")
 

@@ -376,13 +376,35 @@ def _ranked_order(norms, origins):
     return np.lexsort((idx, member, -norms.astype(np.float64)))
 
 
+def unit_norms(net, couplings, pos, include_bias=True):
+    """The norm rule written out by hand: one float32 einsum over each member's
+    block of the row (the columns or channels fed by the previous hidden
+    layer's units of that origin label), the sums added in ascending member
+    order, then the bias squared. The input layer and an unlabelled network
+    take the full row."""
+    c = couplings[pos]
+    p = net.params[c.layer]
+    w, b = p["weight"], p["bias"]
+    labels = net.origins.get(couplings[pos - 1].layer) if pos and net.origins else None
+    if labels is None:
+        return row_l2_norms(w, b if include_bias else None)
+    block = couplings[pos - 1].block
+    sq = np.zeros(c.units, dtype=np.float32)
+    for j in sorted(set(labels.tolist())):
+        cols = [u * block + t for u in range(len(labels)) if labels[u] == j for t in range(block)]
+        part = np.ascontiguousarray(w[:, cols]).reshape(c.units, -1)
+        sq = sq + np.einsum("ij,ij->i", part, part)
+    if include_bias:
+        sq = sq + b * b
+    return np.sqrt(sq)
+
+
 def _resolve_keep(policy, couplings, net, include_bias):
     kept = []
     if policy.mode == "keep_counts" and len(policy.counts) != len(couplings):
         raise InvalidArg(f"need {len(couplings)} keep counts, got {len(policy.counts)}")
     for pos, c in enumerate(couplings):
-        p = net.params[c.layer]
-        norms = row_l2_norms(p["weight"], p["bias"] if include_bias else None)
+        norms = unit_norms(net, couplings, pos, include_bias)
         origins = net.origins.get(c.layer) if net.origins else None
         if policy.mode == "per_member":
             if origins is None:

@@ -11,8 +11,11 @@ from ntfusion import cli
 from ntfusion import network as nw
 from ntfusion.checkpoint import load_checkpoint, save_checkpoint
 from ntfusion.cli import cli_dispatch
+from ntfusion.fusion import concat_fuse
 from ntfusion.tensor import RngStream
+from oracles import assert_same_network
 from test_data import write_idx_pair
+from test_fusion import conv57_specs, make_members
 
 
 @pytest.fixture()
@@ -126,6 +129,22 @@ class TestPlumbing:
                     "--out", workdir / "small.ckpt"]) == 0
         small, _ = load_checkpoint(workdir / "small.ckpt")
         assert small.specs[1].dims == (4, 8)
+
+    def test_pruning_a_saved_concatenation_is_nt(self, tmp_path, capsys):
+        """A concatenation saved with its origins and pruned to one member's
+        widths is what `fuse --method nt` writes from the members."""
+        bundle = make_members(conv57_specs(), 3, 17, randomize_bn=True)
+        paths = [tmp_path / f"m{j}.ckpt" for j in range(3)]
+        for member, path in zip(bundle.members, paths):
+            save_checkpoint(member, path)
+        save_checkpoint(concat_fuse(bundle), tmp_path / "wide.ckpt")
+        assert run(["prune", "--in", tmp_path / "wide.ckpt", "--keep-counts", "5,7,9",
+                    "--out", tmp_path / "pruned.ckpt"]) == 0
+        assert run(["fuse", "--method", "nt", "--in", *paths,
+                    "--out", tmp_path / "nt.ckpt"]) == 0
+        pruned, _ = load_checkpoint(tmp_path / "pruned.ckpt")
+        assert pruned.origins is not None
+        assert_same_network(pruned, load_checkpoint(tmp_path / "nt.ckpt")[0])
 
     def test_distill_subcommand(self, workdir, capsys):
         run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"])

@@ -508,6 +508,10 @@ class TestGatheredNtMatchesConcatOracle:
         bundle = make_members(specs, k, seed, randomize_bn=True)
         oracles.assert_same_network(nt_fuse(bundle, sparsity),
                                     concat_prune_oracle(bundle, sparsity))
+        oracles.assert_same_network(fuse_iterative(bundle),
+                                    oracles.fuse_iterative(bundle.members))
+        oracles.assert_same_network(fuse_recursive(bundle),
+                                    oracles.fuse_recursive(bundle.members))
 
     def test_memory_stays_below_the_concatenation(self):
         bundle = make_members(mlp_specs([64, 128, 128, 10]), 8, 80)

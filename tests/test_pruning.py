@@ -10,11 +10,13 @@ from ntfusion.fusion import EnsembleBundle, concat_fuse
 from ntfusion.network import Network, forward, hidden_couplings, init_network
 from ntfusion.pruning import (
     KeepPolicy,
+    _concat_ranking,
     magnitude_prune,
     prune_concat,
     prune_to_architecture,
 )
 from ntfusion.tensor import RngStream, row_l2_norms
+from test_fusion import CONCAT_ARCHS, make_members
 
 
 def mlp_specs(dims):
@@ -83,6 +85,71 @@ class TestUnitNorms:
         for j, member in enumerate(bundle.members):  # member rows keep their order
             np.testing.assert_array_equal(big.params[0]["weight"][j * 3 : (j + 1) * 3],
                                           member.params[0]["weight"])
+
+
+def ranked_norms(sources):
+    """The norms `prune_concat` ranks each hidden layer of `sources` by."""
+    couplings = hidden_couplings(sources[0])
+    return [_concat_ranking(sources, c, couplings[pos - 1] if pos else None)[0]
+            for pos, c in enumerate(couplings)]
+
+
+class TestNormRule:
+    """The norm rule of the `pruning` docstring: squared norms summed per
+    member block of the incoming row, so the gather, the built concatenation
+    and the oracle all rank a concatenated unit by its member's own norm."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    @pytest.mark.parametrize("arch", sorted(CONCAT_ARCHS))
+    def test_gather_and_concatenation_rank_member_local_norms(self, arch, k):
+        bundle = make_members(CONCAT_ARCHS[arch](), k, 90 + k, randomize_bn=True)
+        wide = concat_fuse(bundle)
+        wide_couplings = hidden_couplings(wide)
+        for pos, (gathered, blocked) in enumerate(zip(ranked_norms(bundle.members),
+                                                      ranked_norms([wide]))):
+            layer = wide_couplings[pos].layer
+            local = np.concatenate([row_l2_norms(m.params[layer]["weight"], m.params[layer]["bias"])
+                                    for m in bundle.members])
+            hand = oracles.unit_norms(wide, wide_couplings, pos)
+            for got in (gathered, blocked, hand):
+                assert got.dtype == np.float32 and got.tobytes() == local.tobytes(), \
+                    f"layer {layer}"
+
+    @pytest.mark.parametrize("arch", ["mlp-odd", "conv57"])
+    def test_cross_member_weight_counts_once_trained(self, arch):
+        """After fine-tuning the wide network, a weight between members is no
+        longer zero; the blocked norm includes it. float32 against a float64
+        hand sum of n <= 135 squares: rounding stays below n * 2**-24 < 1e-5
+        relative."""
+        bundle = make_members(CONCAT_ARCHS[arch](), 3, 95)
+        wide = concat_fuse(bundle)
+        couplings = hidden_couplings(wide)
+        c = couplings[1]
+        w = wide.params[c.layer]["weight"]
+        col = couplings[0].units // 3  # member 1's first unit feeds this column or channel
+        w[0, col] = np.float32(0.75)  # unit 0 is member 0's
+        norms = ranked_norms([wide])[1]
+        row = w[0].astype(np.float64)
+        want = np.sqrt((row ** 2).sum() + np.float64(wide.params[c.layer]["bias"][0]) ** 2)
+        np.testing.assert_allclose(norms[0], want, rtol=1e-5)
+        member = bundle.members[0].params[c.layer]
+        assert norms[0] > row_l2_norms(member["weight"], member["bias"])[0] * 1.01
+        assert norms.tobytes() == oracles.unit_norms(wide, couplings, 1).tobytes()
+
+    def test_network_without_origins_ranks_by_row_l2_norms(self):
+        """A wide network without labels (or with every cross weight set, as
+        after training) is one block per row: plain `row_l2_norms`."""
+        bundle = make_members(CONCAT_ARCHS["conv57"](), 3, 96, randomize_bn=True)
+        wide = concat_fuse(bundle)
+        wide.origins = None
+        net = init_network(wide.specs, RngStream(96, "wide"))
+        for source in (wide, net):
+            for c, norms in zip(hidden_couplings(source), ranked_norms([source])):
+                p = source.params[c.layer]
+                assert norms.tobytes() == row_l2_norms(p["weight"], p["bias"]).tobytes()
+            for policy in (KeepPolicy.sparsity(0.5), KeepPolicy.keep_counts([5, 7, 9])):
+                oracles.assert_same_network(magnitude_prune(source, policy),
+                                            oracles.magnitude_prune(source, policy))
 
 
 class TestMagnitudePrune:

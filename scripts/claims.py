@@ -1,11 +1,11 @@
 """The paper's claims, measured from the experiment specs in `claims/`.
 
-Every spec runs through `ntfusion.cli.run_experiment_spec`. A claim is one
-margin per seed, read from the reports, and it holds iff its mean margin is
-> 0. `BENCH_claims.json` records per claim the spec, seeds, margins (rounded
-to 1e-6), mean, `wins` (margins > 0) and `holds`. The gate records and does
-not judge: it exits 0 when a claim fails. It writes no wall time, so reruns
-write identical bytes.
+Every spec runs in memory through `ntfusion.experiments.run_spec`, which
+writes no report files. A claim is one margin per seed, read from the
+reports, and it holds iff its mean margin is > 0. `BENCH_claims.json` records
+per claim the spec, seeds, margins (rounded to 1e-6), mean, `wins` (margins
+> 0) and `holds`. The gate records and does not judge: it exits 0 when a
+claim fails. It writes no wall time, so reruns write identical bytes.
 
 Specs (dataset seed 93, seeds 1-5, momentum 0.9, batch 64, no LR schedule):
 - compare.json: NT, averaging and align (the exact OT fusion of Singh & Jaggi,
@@ -23,7 +23,6 @@ Rerun from the repo root: `python scripts/claims.py [SPEC_DIR [OUT_PATH]]`.
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -37,8 +36,7 @@ if __name__ == "__main__":
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ntfusion.cli import run_experiment_spec  # noqa: E402
-from ntfusion.experiments import ExperimentSpec  # noqa: E402
+from ntfusion.experiments import run_spec  # noqa: E402
 
 RULE = "a claim holds iff the mean of its per-seed margins is > 0"
 NT, AVG, ALIGN, SELF = "compare/nt", "compare/avg", "compare/align", "failure/nt_self_fusion"
@@ -90,13 +88,11 @@ CLAIMS = {
 def main(spec_dir=ROOT / "claims", out_path=ROOT / "BENCH_claims.json") -> int:
     t0 = time.perf_counter()
     cells = {}  # spec file name -> seed -> "experiment/method" -> record
-    with tempfile.TemporaryDirectory() as tmp:
-        for path in sorted(Path(spec_dir).glob("*.json")):
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            by_seed = cells[path.name] = {}
-            for rep in run_experiment_spec(ExperimentSpec.from_json(doc), doc, Path(tmp) / path.stem):
-                for rec in rep.records:
-                    by_seed.setdefault(rec.seed, {})[f"{rep.experiment}/{rep.method}"] = rec
+    for path in sorted(Path(spec_dir).glob("*.json")):
+        by_seed = cells[path.name] = {}
+        for rep in run_spec(json.loads(path.read_text(encoding="utf-8"))):
+            for rec in rep.records:
+                by_seed.setdefault(rec.seed, {})[f"{rep.experiment}/{rep.method}"] = rec
     claims = {}
     for name, (spec, margin) in CLAIMS.items():
         seeds = sorted(cells[spec])

@@ -17,24 +17,11 @@ import struct
 import numpy as np
 
 from .errors import BadMagic, CorruptHeader, PayloadLengthMismatch, VersionUnsupported
-from .network import LayerKind, LayerSpec, Network, PARAM_ORDER, check_specs, hidden_couplings
+from .network import LayerSpec, Network, PARAM_ORDER, check_specs, hidden_couplings, param_shapes
 
 MAGIC_PREFIX = b"NTCKPT"
 VERSION = b"1"
 MAGIC = MAGIC_PREFIX + VERSION + b"\x00"
-
-
-def _param_shapes(spec: LayerSpec) -> list[tuple[str, tuple[int, ...]]]:
-    if spec.kind is LayerKind.LINEAR:
-        fin, fout = spec.dims
-        return [("weight", (fout, fin)), ("bias", (fout,))]
-    if spec.kind is LayerKind.CONV2D:
-        cin, cout, kh, kw, _, _ = spec.dims
-        return [("weight", (cout, cin, kh, kw)), ("bias", (cout,))]
-    if spec.kind is LayerKind.BATCHNORM2D:
-        c = spec.dims[0]
-        return [(key, (c,)) for key in PARAM_ORDER[LayerKind.BATCHNORM2D]]
-    return []
 
 
 def save_checkpoint(net: Network, path, meta: dict | None = None) -> None:
@@ -82,7 +69,7 @@ def load_checkpoint(path) -> tuple[Network, dict]:
             check_specs(specs)  # a dims list of the wrong length fails in here
         except (ValueError, KeyError, TypeError, IndexError) as exc:  # bad UTF-8 or JSON: ValueError
             raise CorruptHeader(f"{path}: unreadable checkpoint header ({exc!r})") from exc
-        shapes = [_param_shapes(s) for s in specs]
+        shapes = [param_shapes(s) for s in specs]
         count = sum(int(np.prod(shape)) for layer in shapes for _, shape in layer)
         payload_len = size - 12 - header_len
         if payload_len != count * 4:

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import experiments, reporting
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import BadSpec, NTError, UsageError
-from .experiments import ExperimentSpec, build_arch, build_dataset
+from .experiments import build_arch, build_dataset
 from .fusion import EnsembleBundle, FusionPlan, fuse
 from .network import init_network
 from .pruning import KeepPolicy, magnitude_prune
@@ -165,38 +165,13 @@ def _cmd_distill(args) -> int:
     return 0
 
 
-def run_experiment_spec(spec: ExperimentSpec, doc: dict, out_dir: Path) -> list:
-    get, ints = experiments._get, experiments._ints
-    kind = get(doc, "experiment", str, "pipeline")
-    if kind == "pipeline":
-        reports = [experiments.run_pipeline(spec)]
-    elif kind == "multimodel":
-        reports = experiments.ablation_multimodel(
-            spec, ks=tuple(ints(doc, "ks", [2, 4, 8])),
-            methods=tuple(get(doc, "methods", list, ["nt", "nt_iterative", "nt_recursive"])))
-    elif kind == "sweep":
-        reports = experiments.ablation_sweep(get(doc, "axis", str), get(doc, "values", list), spec)
-    elif kind == "failure":
-        reports = [experiments.failure_case(spec)]
-    elif kind == "compare":
-        kd_doc = get(doc, "kd", dict, None)
-        kd = (KdConfig(get(kd_doc, "temperature", float, 2.0),
-                       get(kd_doc, "soft_weight", float, 1.0)) if kd_doc else None)
-        reports = experiments.compare_methods(
-            spec, methods=tuple(get(doc, "methods", list, ["nt", "avg", "align"])), kd=kd)
-    else:
-        raise BadSpec(f"unknown experiment kind {kind!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reporting.write_csv(reports, out_dir / "report.csv")
-    reporting.write_json(reports, out_dir / "report.json")
-    reporting.write_timings(reports, out_dir / "timings.json")
-    return reports
-
-
 def _cmd_experiment(args) -> int:
-    doc = _read_json(args.spec)
-    spec = ExperimentSpec.from_json(doc)
-    reports = run_experiment_spec(spec, doc, Path(args.out))
+    reports = experiments.run_spec(_read_json(args.spec))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    reporting.write_csv(reports, out / "report.csv")
+    reporting.write_json(reports, out / "report.json")
+    reporting.write_timings(reports, out / "timings.json")
     print(f"wrote {len(reports)} report(s) to {args.out}")
     return 0
 

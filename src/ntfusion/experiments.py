@@ -1,6 +1,6 @@
 """Declarative fusion experiments: order-of-operations pipelines, multi-model
-and sweep ablations, the self-fusion failure case, baseline comparisons, and
-fusion cost measurement.
+and sweep ablations, the self-fusion failure case and baseline comparisons,
+each runnable from one JSON spec document through `run_spec`.
 
 Every experiment is reproducible from (spec, seeds): datasets, inits, batch
 orders, and fine-tuning are all driven by counter-based streams. Seeds may run
@@ -72,8 +72,15 @@ def _items(values: list, kind: type, what: str) -> list:
     return values
 
 
-def _ints(doc: dict, key: str, default=_REQUIRED) -> list[int]:
-    return _items(_get(doc, key, list, default), int, f"spec key {key!r}")
+def _list(doc: dict, key: str, item_kind: type, default=_REQUIRED) -> list:
+    return _items(_get(doc, key, list, default), item_kind, f"spec key {key!r}")
+
+
+def _distinct(values, what: str) -> None:
+    """Refuse repeated values: each one names a report cell, and a repeat
+    would fill its cell twice."""
+    if len(set(values)) != len(values):
+        raise InvalidArg(f"{what} must not repeat a value, got {list(values)!r}")
 
 
 def _object(doc, what: str) -> dict:
@@ -123,14 +130,14 @@ def build_arch(template: dict) -> list[LayerSpec]:
     template = _object(template, "arch template")
     t = template.get("type")
     if t == "mlp":
-        dims = [_get(template, "in_features", int), *_ints(template, "hidden")]
+        dims = [_get(template, "in_features", int), *_list(template, "hidden", int)]
         specs: list[LayerSpec] = [nw.flatten()]  # accept image or flat features
         for a, b in zip(dims[:-1], dims[1:]):
             specs += [nw.linear(a, b), nw.relu()]
         specs.append(nw.linear(dims[-1], _get(template, "classes", int)))
         return specs
     if t == "convnet":
-        hw = _ints(template, "image_hw")
+        hw = _list(template, "image_hw", int)
         if len(hw) != 2:
             raise BadSpec(f"spec key 'image_hw' must hold two integers, got {hw!r}")
         h, w = hw
@@ -139,7 +146,7 @@ def build_arch(template: dict) -> list[LayerSpec]:
         padding = _get(template, "padding", int, 1)
         use_bn = _get(template, "batchnorm", bool, True)
         specs = []
-        for cout in _ints(template, "conv_channels"):
+        for cout in _list(template, "conv_channels", int):
             specs.append(nw.conv(cin, cout, kernel, stride=1, padding=padding))
             if use_bn:
                 specs.append(nw.batchnorm(cout))
@@ -150,7 +157,7 @@ def build_arch(template: dict) -> list[LayerSpec]:
             cin = cout
         specs.append(nw.flatten())
         feat = cin * h * w
-        for hidden in _ints(template, "hidden", []):
+        for hidden in _list(template, "hidden", int, []):
             specs += [nw.linear(feat, hidden), nw.relu()]
             feat = hidden
         specs.append(nw.linear(feat, _get(template, "classes", int)))
@@ -172,9 +179,8 @@ class ExperimentSpec:
     arch: dict
     k: int = 2
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20, lr=0.05))
+    train: TrainConfig = field(default_factory=lambda: _train_config({}))
     plan: FusionPlan = field(default_factory=FusionPlan)
-    outputs: str | None = None
 
     def __post_init__(self) -> None:
         if not self.seeds:
@@ -203,10 +209,9 @@ class ExperimentSpec:
             dataset=_get(doc, "dataset", dict),
             arch=_get(doc, "arch", dict),
             k=_get(doc, "k", int, 2),
-            seeds=tuple(_ints(doc, "seeds", [1, 2, 3, 4, 5])),
+            seeds=tuple(_list(doc, "seeds", int, [1, 2, 3, 4, 5])),
             train=train_cfg,
             plan=plan,
-            outputs=_get(doc, "outputs", str, None),
         )
 
 
@@ -282,9 +287,9 @@ def _even_member_quotas(width: int, k: int) -> tuple[int, ...]:
 
 def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
                    test_ds: Dataset, seed: int):
-    """Run the plan's pipeline; returns (fused net, merged_ft_acc series, peak bytes)."""
+    """Run the plan's pipeline; returns (fused net, merged_ft_acc series). The
+    series holds one accuracy per epoch of the wide model's mid fine-tune."""
     reference = bundle.members[0]
-    peak = sum(m.num_bytes() for m in bundle.members)
     merged_series: list[float] = []
     if plan.method != "nt" or plan.pipeline == "merge_prune_ft":
         fused = fuse(bundle, plan)
@@ -296,7 +301,6 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
         fused = prune_concat(bundle.members, KeepPolicy.per_member(quotas))
     else:  # merge_ft_prune_ft
         big = concat_fuse(bundle)
-        peak += big.num_bytes() + 4 * sum(c.units for c in nw.hidden_couplings(big))
         mid_epochs = plan.finetune.epochs // 2
         mid_cfg = replace(plan.finetune, epochs=mid_epochs).reseeded(
             stream_seed(seed, MID_FINETUNE_STREAM))
@@ -304,15 +308,7 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
         merged_series = [r.test_accuracy for r in mid_history.records]
         fused = (prune_to_architecture(big, reference) if plan.sparsity is None
                  else magnitude_prune(big, KeepPolicy.sparsity(plan.sparsity)))
-    peak += fused.num_bytes()
-    return fused, merged_series, peak
-
-
-def _ft_epochs(plan: FusionPlan) -> int:
-    epochs = plan.finetune.epochs
-    if plan.pipeline == "merge_ft_prune_ft" and plan.method == "nt":
-        epochs = epochs - epochs // 2
-    return epochs
+    return fused, merged_series
 
 
 def _cell(fused: Network, seed: int, metrics: dict[str, float], t0: float,
@@ -351,14 +347,14 @@ def run_pipeline(spec: ExperimentSpec) -> RunReport:
     def one_seed(seed: int) -> SeedRecord:
         t0 = time.perf_counter()
         bundle, member_accs = train_members(specs, train_ds, test_ds, spec.k, seed, spec.train)
-        fused, merged_series, peak = _pipeline_fuse(bundle, spec.plan, train_ds, test_ds, seed)
+        fused, merged_series = _pipeline_fuse(bundle, spec.plan, train_ds, test_ds, seed)
         context = {"ensemble_acc": ensemble_accuracy(bundle.members, test_ds),
                    "best_member_acc": max(member_accs)}
+        ft = spec.plan.finetune  # the mid fine-tune spent part of its epochs
         rec = _cell(fused, seed, context, t0, train_ds, test_ds,
-                    replace(spec.plan.finetune, epochs=_ft_epochs(spec.plan)))
+                    replace(ft, epochs=ft.epochs - len(merged_series)))
         if merged_series:
             rec.set_series("merged_ft_acc", merged_series)
-        rec.peak_bytes_estimate = peak
         return rec
 
     method = spec.plan.method if spec.plan.method != "nt" else f"nt/{spec.plan.pipeline}"
@@ -368,8 +364,10 @@ def run_pipeline(spec: ExperimentSpec) -> RunReport:
 def ablation_multimodel(spec: ExperimentSpec, ks=(2, 4, 8),
                         methods=("nt", "nt_iterative", "nt_recursive")) -> list[RunReport]:
     """Joint vs iterative vs recursive fusion over growing ensemble sizes."""
-    if not ks:
-        raise InvalidArg("need at least one ensemble size")
+    if not ks or min(ks) < 2:
+        raise InvalidArg(f"need ensemble sizes of at least 2, got {list(ks)!r}")
+    _distinct(ks, "ensemble sizes")
+    _distinct(methods, "fusion methods")
     specs = build_arch(spec.arch)
     train_ds, test_ds = build_dataset(spec.dataset)
     k_max = max(ks)
@@ -399,6 +397,7 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
     or sparsity."""
     axis = axis.lower()
     _items(values, int if axis in ("width", "depth") else float, f"{axis} sweep values")
+    _distinct(values, f"{axis} sweep values")
     if axis == "width":
         hidden = spec.arch.get("hidden", [64])
         return [
@@ -431,6 +430,8 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
 
 
 def _transplant_sweep(values, spec: ExperimentSpec) -> list[RunReport]:
+    labels = [f"p={float(p):g}" for p in values]  # distinct values can share a label
+    _distinct(labels, "transplant_fraction sweep labels")
     specs = build_arch(spec.arch)
     train_ds, test_ds = build_dataset(spec.dataset)
 
@@ -439,15 +440,14 @@ def _transplant_sweep(values, spec: ExperimentSpec) -> list[RunReport]:
         recipient, donor = bundle.members
         context = {"recipient_acc": member_accs[0], "donor_acc": member_accs[1]}
         out = []
-        for p in values:
-            p = float(p)
+        for p, label in zip(values, labels):
             t0 = time.perf_counter()
-            mixed = transplant_fraction(recipient, donor, p)
-            out.append((p, _cell(mixed, seed, context, t0, train_ds, test_ds,
-                                 spec.plan.finetune)))
+            mixed = transplant_fraction(recipient, donor, float(p))
+            out.append((label, _cell(mixed, seed, context, t0, train_ds, test_ds,
+                                     spec.plan.finetune)))
         return out
 
-    return _collect([float(p) for p in values], lambda p: RunReport(spec.name, f"p={p:g}"),
+    return _collect(labels, lambda label: RunReport(spec.name, label),
                     _map_seeds(one_seed, spec.seeds))
 
 
@@ -474,6 +474,7 @@ def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
                     kd: KdConfig | None = None) -> list[RunReport]:
     """NT against vanilla averaging and assignment-based align-and-average
     (k=2), with an optional distillation arm per method."""
+    _distinct(methods, "fusion methods")
     if spec.k != 2 and "align" in methods:
         raise InvalidArg("align baseline is limited to k=2")
     specs = build_arch(spec.arch)
@@ -503,48 +504,30 @@ def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
     return _collect(labels, lambda m: RunReport(spec.name, m), _map_seeds(one_seed, spec.seeds))
 
 
-def _one_hidden_net(width: int, in_dim: int, classes: int, seed: int) -> Network:
-    specs = [nw.linear(in_dim, width), nw.relu(), nw.linear(width, classes)]
-    return init_network(specs, RngStream(seed, "cost-net"))
+def run_spec(doc: dict) -> list[RunReport]:
+    """The reports of the experiment a parsed JSON spec document describes.
 
-
-def measure_fusion_cost(widths, k: int = 2, in_dim: int = 512, classes: int = 10,
-                        repeats: int = 3, methods=("avg", "nt", "align"),
-                        align_width_cap: int = 1024, seed: int = 7) -> list[dict]:
-    """Median fusion wall time and a peak-live-tensor-bytes estimate per
-    (method, width) on one-hidden-layer ensembles.
-
-    The estimate counts input models, outputs and the large tensors a
-    method builds on the way (alignment's cost matrix and permuted copy; NT
-    gathers its output straight from the members); model bytes are reported
-    separately. Alignment is skipped above `align_width_cap` where the cost
-    matrix dominates (mirroring how transport-based fusion runs out of
-    memory at scale).
+    `experiment` picks the driver (default "pipeline"; also "multimodel",
+    "sweep", "failure" and "compare"), and the driver reads its own keys:
+    `ks` and `methods` (multimodel), `axis` and `values` (sweep), `methods`
+    and `kd` (compare).
     """
-    rows = []
-    for width in widths:
-        members = [_one_hidden_net(width, in_dim, classes, seed + j) for j in range(k)]
-        bundle = EnsembleBundle(members, list(range(k)))
-        model_bytes = sum(m.num_bytes() for m in members)
-        for method in methods:
-            if method == "align" and (width > align_width_cap or k != 2):
-                continue
-            times = []
-            peak = 0
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                fused = fuse(bundle, FusionPlan(method=method))
-                peak = model_bytes + fused.num_bytes()
-                if method == "align":  # the cost matrix and the permuted copy
-                    cost_bytes = max(c.units ** 2 * 8 for c in nw.hidden_couplings(members[0]))
-                    peak += cost_bytes + members[1].num_bytes()
-                times.append(time.perf_counter() - t0)
-            rows.append({
-                "method": method,
-                "width": int(width),
-                "k": k,
-                "seconds": float(np.median(times)),
-                "peak_bytes": int(peak),
-                "model_bytes": int(model_bytes),
-            })
-    return rows
+    spec = ExperimentSpec.from_json(doc)
+    kind = _get(doc, "experiment", str, "pipeline")
+    if kind == "pipeline":
+        return [run_pipeline(spec)]
+    if kind == "failure":
+        return [failure_case(spec)]
+    if kind == "multimodel":
+        return ablation_multimodel(
+            spec, ks=tuple(_list(doc, "ks", int, [2, 4, 8])),
+            methods=tuple(_list(doc, "methods", str, ["nt", "nt_iterative", "nt_recursive"])))
+    if kind == "sweep":
+        return ablation_sweep(_get(doc, "axis", str), _get(doc, "values", list), spec)
+    if kind == "compare":
+        kd_doc = _get(doc, "kd", dict, None)
+        kd = (KdConfig(_get(kd_doc, "temperature", float, 2.0),
+                       _get(kd_doc, "soft_weight", float, 1.0)) if kd_doc else None)
+        return compare_methods(
+            spec, methods=tuple(_list(doc, "methods", str, ["nt", "avg", "align"])), kd=kd)
+    raise BadSpec(f"unknown experiment kind {kind!r}")

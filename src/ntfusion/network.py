@@ -177,24 +177,30 @@ class Network:
         return sum(v.nbytes for p in self.params for v in p.values())
 
 
-def _init_layer(spec: LayerSpec, rng: RngStream) -> dict[str, Array]:
+def param_shapes(spec: LayerSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """(key, shape) of each parameter of a layer, in `PARAM_ORDER`."""
     if spec.kind is LayerKind.LINEAR:
         fin, fout = spec.dims
-        bound = 1.0 / np.sqrt(fin)
-        return {"weight": rng.uniform((fout, fin), -bound, bound),
-                "bias": rng.uniform((fout,), -bound, bound)}
+        return [("weight", (fout, fin)), ("bias", (fout,))]
     if spec.kind is LayerKind.CONV2D:
         cin, cout, kh, kw, _, _ = spec.dims
-        bound = 1.0 / np.sqrt(cin * kh * kw)
-        return {"weight": rng.uniform((cout, cin, kh, kw), -bound, bound),
-                "bias": rng.uniform((cout,), -bound, bound)}
+        return [("weight", (cout, cin, kh, kw)), ("bias", (cout,))]
+    return [(key, spec.dims[:1]) for key in PARAM_ORDER.get(spec.kind, ())]  # batchnorm: (c,)
+
+
+# BatchNorm starts as the identity: unit scale and variance, zero shift and mean.
+_BN_INIT = {"weight": 1.0, "bias": 0.0, "running_mean": 0.0, "running_var": 1.0}
+
+
+def _init_layer(spec: LayerSpec, rng: RngStream) -> dict[str, Array]:
+    """Weights then bias drawn uniform in +-1/sqrt(fan-in), in that order."""
+    shapes = param_shapes(spec)
     if spec.kind is LayerKind.BATCHNORM2D:
-        c = spec.dims[0]
-        return {"weight": np.ones(c, dtype=np.float32),
-                "bias": np.zeros(c, dtype=np.float32),
-                "running_mean": np.zeros(c, dtype=np.float32),
-                "running_var": np.ones(c, dtype=np.float32)}
-    return {}
+        return {key: np.full(shape, _BN_INIT[key], dtype=np.float32) for key, shape in shapes}
+    if not shapes:
+        return {}
+    bound = 1.0 / np.sqrt(np.prod(shapes[0][1][1:]))  # fan-in: every weight axis but the first
+    return {key: rng.uniform(shape, -bound, bound) for key, shape in shapes}
 
 
 def init_network(specs: list[LayerSpec], rng: RngStream) -> Network:

@@ -36,7 +36,6 @@ class SeedRecord:
     metrics: dict[str, float] = field(default_factory=dict)
     series: dict[str, list[float]] = field(default_factory=dict)
     wall_seconds: float = 0.0
-    peak_bytes_estimate: int = 0
 
     def set_metric(self, name: str, value: float) -> None:
         self.metrics[name] = _f32(value)
@@ -112,13 +111,11 @@ def write_json(reports, path) -> None:
 
 
 def write_timings(reports, path) -> None:
-    """Wall-clock and memory side-channel; intentionally not covered by the
-    byte-identical rerun guarantee."""
+    """Each record's measured wall-clock seconds, keyed "experiment/method";
+    intentionally not covered by the byte-identical rerun guarantee."""
     doc = {
         f"{rep.experiment}/{rep.method}": [
-            {"seed": r.seed, "wall_seconds": r.wall_seconds,
-             "peak_bytes_estimate": r.peak_bytes_estimate}
-            for r in rep.records
+            {"seed": r.seed, "wall_seconds": r.wall_seconds} for r in rep.records
         ]
         for rep in reports
     }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ntfusion import cli
+from ntfusion import cli, experiments
 from ntfusion import network as nw
 from ntfusion.checkpoint import load_checkpoint, save_checkpoint
 from ntfusion.cli import cli_dispatch
@@ -234,6 +234,20 @@ BAD_KIND_KEYS = [("compare", "kd", 5), ("compare", "kd", {"temperature": "hot"})
                  ("compare", "kd", {"soft_weight": [1]}), ("multimodel", "ks", 3),
                  ("multimodel", "ks", ["2"]), ("multimodel", "ks", [])]
 SWEEP_AXES = ["width", "depth", "transplant_fraction", "sparsity"]
+# A repeated value would fill one report cell twice, and an ensemble size
+# below 2 would slice the wrong members: both are refused before training.
+REFUSED_BEFORE_TRAINING = [
+    {"experiment": "compare", "methods": ["avg", "avg"]},
+    {"experiment": "multimodel", "methods": ["nt", "nt_iterative", "nt"]},
+    {"experiment": "multimodel", "ks": [2, 3, 2]},
+    {"experiment": "multimodel", "ks": [3, -1]},
+    {"experiment": "multimodel", "ks": [1]},
+    *({"experiment": "sweep", "axis": axis, "values": values}
+      for axis, values in [("width", [4, 4]), ("depth", [1, 2, 1]),
+                           ("transplant_fraction", [0, 0.0]),
+                           ("transplant_fraction", [0.5, 0.5000001]),  # both labelled p=0.5
+                           ("sparsity", [0.5, 0.5])]),
+]
 ROW = {"experiment": "e", "method": "nt", "seed": 1, "epoch": 0, "metric": "m", "value": 0.5}
 BAD_REPORTS = {
     "not-json": "{rows",
@@ -307,6 +321,15 @@ class TestBadSpec:
         doc = dict(small_spec(), experiment=kind)
         doc[key] = value
         code, err = self.run_spec(tmp_path, capsys, doc)
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("keys", REFUSED_BEFORE_TRAINING, ids=str)
+    def test_refused_before_training(self, tmp_path, capsys, monkeypatch, keys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a member trained")
+
+        monkeypatch.setattr(experiments, "train_members", no_training)
+        code, err = self.run_spec(tmp_path, capsys, dict(small_spec(), **keys))
         assert code == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)

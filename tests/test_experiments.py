@@ -16,7 +16,6 @@ from ntfusion.experiments import (
     build_dataset,
     compare_methods,
     failure_case,
-    measure_fusion_cost,
     run_pipeline,
 )
 from ntfusion.fusion import FusionPlan
@@ -89,6 +88,10 @@ class TestBuilders:
         assert spec.plan.finetune.epochs == 2
         assert spec.train.lr == 0.1
 
+    def test_from_json_defaults_match_python_defaults(self):
+        keys = {"name": "d", "dataset": {"kind": "blobs"}, "arch": {"type": "mlp"}}
+        assert ExperimentSpec.from_json(keys) == ExperimentSpec(**keys)
+
 
 class TestRunPipeline:
     def test_zero_finetune_has_immediate_only(self):
@@ -111,9 +114,9 @@ class TestRunPipeline:
         specs = build_arch(spec.arch)
         bundle, _ = train_members(specs, train_ds, test_ds, 2, 1, spec.train)
         big_rows = concat_fuse(bundle).params[1]["weight"]
-        joint, _, _ = _pipeline_fuse(bundle, spec.plan, train_ds, test_ds, 1)
-        local, _, _ = _pipeline_fuse(bundle, replace(spec.plan, pipeline="prune_merge_ft"),
-                                     train_ds, test_ds, 1)
+        joint, _ = _pipeline_fuse(bundle, spec.plan, train_ds, test_ds, 1)
+        local, _ = _pipeline_fuse(bundle, replace(spec.plan, pipeline="prune_merge_ft"),
+                                  train_ds, test_ds, 1)
         for net in (joint, local):
             for row in net.params[1]["weight"]:
                 assert any(np.array_equal(row, r) for r in big_rows)
@@ -324,23 +327,3 @@ class TestSeedStreams:
         self.check(distilled.records[0].series["finetuned_acc"], avg, spec.plan.finetune, 131,
                    data, trainer=distill, teachers=bundle, kd=kd)
         assert distilled.records[0].metrics == plain.records[0].metrics
-
-
-class TestFusionCost:
-    def test_orderings_and_scaling(self):
-        rows = measure_fusion_cost([64, 128], k=2, in_dim=32, classes=4, repeats=3,
-                                   seed=11)
-        t = {(r["method"], r["width"]): r["seconds"] for r in rows}
-        for width in (64, 128):
-            assert t[("avg", width)] < t[("nt", width)]
-            assert t[("nt", width)] < t[("align", width)]
-
-    def test_peak_bytes_within_three_models(self):
-        rows = measure_fusion_cost([256], k=2, in_dim=64, classes=4, repeats=1, seed=12)
-        nt = next(r for r in rows if r["method"] == "nt")
-        assert nt["peak_bytes"] <= 3 * nt["model_bytes"]
-
-    def test_align_skipped_above_cap(self):
-        rows = measure_fusion_cost([64, 2048], k=2, in_dim=16, classes=4, repeats=1,
-                                   align_width_cap=1024, seed=13)
-        assert not any(r["method"] == "align" and r["width"] == 2048 for r in rows)

@@ -254,3 +254,25 @@ class TestPermuteUnits:
         np.testing.assert_array_equal(
             permuted.params[0]["weight"], net.params[0]["weight"][order])
         assert rel_error(forward(permuted, x), forward(net, x)) <= 1e-6
+
+
+class TestInit:
+    def test_params_follow_param_shapes(self):
+        net = init_network(small_convnet_specs(), RngStream(0, "t"))
+        for spec, params in zip(net.specs, net.params):
+            assert [(k, v.shape) for k, v in params.items()] == nw.param_shapes(spec)
+
+    def test_fixed_seed_draws(self):
+        """Each layer draws from its own stream, weight then bias, uniform in
+        +-1/sqrt(fan-in); BatchNorm starts as the identity."""
+        specs = small_convnet_specs()
+        net = init_network(specs, RngStream(3, "t"))
+        fan_in = {0: 1 * 3 * 3, 4: 3 * 3 * 3, 7: 4 * 2 * 2}
+        for i, fan in fan_in.items():
+            rng, bound = RngStream(3, "t").split(f"layer-{i}"), 1.0 / np.sqrt(fan)
+            weight, bias = net.params[i]["weight"], net.params[i]["bias"]
+            assert np.array_equal(weight, rng.uniform(weight.shape, -bound, bound))
+            assert np.array_equal(bias, rng.uniform(bias.shape, -bound, bound))
+        bn = net.params[1]
+        assert [bn[k].tolist() for k in ("weight", "bias", "running_mean", "running_var")] \
+            == [[1.0] * 3, [0.0] * 3, [0.0] * 3, [1.0] * 3]

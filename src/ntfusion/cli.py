@@ -31,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 @functools.cache
 def _parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -49,7 +57,8 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("prune", help="structured magnitude pruning of a checkpoint")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--keep-counts", default=None, help="comma-separated per-layer keeps")
+    p.add_argument("--keep-counts", type=_int_list, default=None,
+                   help="comma-separated per-layer keeps")
     p.add_argument("--sparsity", type=float, default=None)
     p.add_argument("--out", required=True)
 
@@ -121,8 +130,8 @@ def _cmd_train(args) -> int:
 def _cmd_fuse(args) -> int:
     if len(args.inputs) < 2:
         raise UsageError("fuse needs at least two input checkpoints (k >= 2)")
-    members = [load_checkpoint(p)[0] for p in args.inputs]
     plan = FusionPlan(method=_METHODS[args.method], sparsity=args.sparsity)
+    members = [load_checkpoint(p)[0] for p in args.inputs]
     fused = fuse(EnsembleBundle(members), plan)
     save_checkpoint(fused, args.out, {"fused_from": list(args.inputs), "method": args.method})
     print(f"fused {len(members)} checkpoints with {args.method} -> {args.out}")
@@ -134,7 +143,7 @@ def _cmd_prune(args) -> int:
         raise UsageError("prune needs exactly one of --keep-counts or --sparsity")
     net, _ = load_checkpoint(args.input)
     if args.keep_counts is not None:
-        policy = KeepPolicy.keep_counts(int(v) for v in args.keep_counts.split(","))
+        policy = KeepPolicy.keep_counts(args.keep_counts)
     else:
         policy = KeepPolicy.sparsity(args.sparsity)
     save_checkpoint(magnitude_prune(net, policy), args.out, {"pruned_from": args.input})

@@ -3,16 +3,14 @@ and sweep ablations, the self-fusion failure case and baseline comparisons,
 each runnable from one JSON spec document through `run_spec`.
 
 Every experiment is reproducible from (spec, seeds): datasets, inits, batch
-orders, and fine-tuning are all driven by counter-based streams. Seeds may run
-on worker threads (capped by the NT_THREADS env var, default 1); records are
-assembled in seed order either way.
+orders, and fine-tuning are all driven by counter-based streams. Every kind
+runs through one driver, `_drive`, which runs the seeds serially, in seed
+order, and times each record.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -236,14 +234,6 @@ def _train_config(doc: dict) -> TrainConfig:
     )
 
 
-def _map_seeds(fn, seeds):
-    workers = int(os.environ.get("NT_THREADS", "1"))
-    if workers <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
-
-
 # Seed streams of one experiment seed: member j trains on stream j; each run
 # after a fusion trains on a fixed stream above every member index.
 FINETUNE_STREAM = 97
@@ -311,54 +301,66 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
     return fused, merged_series
 
 
-def _cell(fused: Network, seed: int, metrics: dict[str, float], t0: float,
-          train_ds: Dataset, test_ds: Dataset, ft_cfg: TrainConfig) -> SeedRecord:
+def _cell(fused: Network, seed: int, metrics: dict[str, float], data: tuple[Dataset, Dataset],
+          ft_cfg: TrainConfig, kd: KdConfig | None = None, teachers=None) -> SeedRecord:
     """One fused model's record: the context `metrics`, its immediate test
     accuracy and, when `ft_cfg` has epochs, the test accuracy series of
-    fine-tuning it with `ft_cfg` on the seed's fine-tune stream. The wall
-    clock runs from `t0`."""
+    fine-tuning it with `ft_cfg`: on the seed's fine-tune stream, or, given
+    `kd`, distilled from `teachers` on the seed's distillation stream."""
+    train_ds, test_ds = data
     rec = SeedRecord(seed=seed)
     for name, value in metrics.items():
         rec.set_metric(name, value)
     rec.set_metric("immediate_acc", evaluate(fused, test_ds)["accuracy"])
     if ft_cfg.epochs > 0:
-        _, history = train(fused, train_ds, test_ds,
-                           ft_cfg.reseeded(stream_seed(seed, FINETUNE_STREAM)))
+        cfg = ft_cfg.reseeded(stream_seed(seed, FINETUNE_STREAM if kd is None else DISTILL_STREAM))
+        _, history = (train(fused, train_ds, test_ds, cfg) if kd is None
+                      else distill(fused, teachers, train_ds, test_ds, cfg, kd))
         rec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
-    rec.wall_seconds = time.perf_counter() - t0
     return rec
 
 
-def _collect(keys: list, make_report, per_seed) -> list[RunReport]:
-    """One report per key (`make_report(key)`), filled from each seed's
-    (key, record) pairs in seed order."""
-    reports = {key: make_report(key) for key in keys}
-    for pairs in per_seed:
-        for key, rec in pairs:
+def _drive(spec: ExperimentSpec, k: int, keys: list[tuple[str, str]], cells) -> list[RunReport]:
+    """The driver of every experiment kind: one report per (experiment,
+    method) key, filled seed by seed in seed order. Per seed it trains k
+    members and files each (key, record) that `cells(bundle, member_accs,
+    (train, test), seed)` yields. A record's wall time is its seed's member
+    training plus the work since the previous record (or since the members)."""
+    specs = build_arch(spec.arch)
+    data = build_dataset(spec.dataset)
+    reports = {key: RunReport(*key) for key in keys}
+    for seed in spec.seeds:
+        start = time.perf_counter()
+        bundle, member_accs = train_members(specs, *data, k, seed, spec.train)
+        lap = time.perf_counter()
+        members_s = lap - start
+        for key, rec in cells(bundle, member_accs, data, seed):
+            start, lap = lap, time.perf_counter()
+            rec.wall_seconds = members_s + lap - start
             reports[key].records.append(rec)
     return [reports[key] for key in keys]
 
 
+def _context(members, member_accs, test_ds: Dataset) -> dict[str, float]:
+    return {"ensemble_acc": ensemble_accuracy(members, test_ds),
+            "best_member_acc": max(member_accs)}
+
+
 def run_pipeline(spec: ExperimentSpec) -> RunReport:
     """Train k members per seed, fuse per the plan, fine-tune, and report."""
-    specs = build_arch(spec.arch)
-    train_ds, test_ds = build_dataset(spec.dataset)
+    method = spec.plan.method
+    key = (spec.name, method if method != "nt" else f"nt/{spec.plan.pipeline}")
 
-    def one_seed(seed: int) -> SeedRecord:
-        t0 = time.perf_counter()
-        bundle, member_accs = train_members(specs, train_ds, test_ds, spec.k, seed, spec.train)
-        fused, merged_series = _pipeline_fuse(bundle, spec.plan, train_ds, test_ds, seed)
-        context = {"ensemble_acc": ensemble_accuracy(bundle.members, test_ds),
-                   "best_member_acc": max(member_accs)}
+    def cells(bundle, member_accs, data, seed):
+        fused, merged_series = _pipeline_fuse(bundle, spec.plan, *data, seed)
         ft = spec.plan.finetune  # the mid fine-tune spent part of its epochs
-        rec = _cell(fused, seed, context, t0, train_ds, test_ds,
+        rec = _cell(fused, seed, _context(bundle.members, member_accs, data[1]), data,
                     replace(ft, epochs=ft.epochs - len(merged_series)))
         if merged_series:
             rec.set_series("merged_ft_acc", merged_series)
-        return rec
+        yield key, rec
 
-    method = spec.plan.method if spec.plan.method != "nt" else f"nt/{spec.plan.pipeline}"
-    return RunReport(spec.name, method, _map_seeds(one_seed, spec.seeds))
+    return _drive(spec, spec.k, [key], cells)[0]
 
 
 def ablation_multimodel(spec: ExperimentSpec, ks=(2, 4, 8),
@@ -368,28 +370,18 @@ def ablation_multimodel(spec: ExperimentSpec, ks=(2, 4, 8),
         raise InvalidArg(f"need ensemble sizes of at least 2, got {list(ks)!r}")
     _distinct(ks, "ensemble sizes")
     _distinct(methods, "fusion methods")
-    specs = build_arch(spec.arch)
-    train_ds, test_ds = build_dataset(spec.dataset)
-    k_max = max(ks)
 
-    def one_seed(seed: int):
-        bundle_all, member_accs = train_members(specs, train_ds, test_ds, k_max, seed, spec.train)
-        out = []
+    def cells(bundle_all, member_accs, data, seed):
         for k in ks:
-            members = bundle_all.members[:k]
-            bundle = EnsembleBundle(members, bundle_all.member_seeds[:k])
-            context = {"ensemble_acc": ensemble_accuracy(members, test_ds),
-                       "best_member_acc": max(member_accs[:k])}
+            bundle = EnsembleBundle(bundle_all.members[:k], bundle_all.member_seeds[:k])
+            context = _context(bundle.members, member_accs[:k], data[1])
             for m in methods:
-                t0 = time.perf_counter()
                 fused = fuse(bundle, FusionPlan(method=m, finetune=spec.plan.finetune))
-                out.append(((k, m), _cell(fused, seed, context, t0, train_ds, test_ds,
-                                          spec.plan.finetune)))
-        return out
+                yield (f"{spec.name}-k{k}", m), _cell(fused, seed, context, data,
+                                                      spec.plan.finetune)
 
-    return _collect([(k, m) for k in ks for m in methods],
-                    lambda key: RunReport(f"{spec.name}-k{key[0]}", key[1]),
-                    _map_seeds(one_seed, spec.seeds))
+    return _drive(spec, max(ks), [(f"{spec.name}-k{k}", m) for k in ks for m in methods],
+                  cells)
 
 
 def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
@@ -398,18 +390,11 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
     axis = axis.lower()
     _items(values, int if axis in ("width", "depth") else float, f"{axis} sweep values")
     _distinct(values, f"{axis} sweep values")
-    if axis == "width":
+    if axis in ("width", "depth"):
         hidden = spec.arch.get("hidden", [64])
         return [
-            run_pipeline(replace(spec, name=f"{spec.name}-width{v}",
-                                 arch=dict(spec.arch, hidden=[int(v)] * len(hidden))))
-            for v in values
-        ]
-    if axis == "depth":
-        width = spec.arch.get("hidden", [64])[0]
-        return [
-            run_pipeline(replace(spec, name=f"{spec.name}-depth{v}",
-                                 arch=dict(spec.arch, hidden=[width] * int(v))))
+            run_pipeline(replace(spec, name=f"{spec.name}-{axis}{v}", arch=dict(
+                spec.arch, hidden=[v] * len(hidden) if axis == "width" else [hidden[0]] * v)))
             for v in values
         ]
     if axis == "transplant_fraction":
@@ -432,42 +417,31 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
 def _transplant_sweep(values, spec: ExperimentSpec) -> list[RunReport]:
     labels = [f"p={float(p):g}" for p in values]  # distinct values can share a label
     _distinct(labels, "transplant_fraction sweep labels")
-    specs = build_arch(spec.arch)
-    train_ds, test_ds = build_dataset(spec.dataset)
 
-    def one_seed(seed: int):
-        bundle, member_accs = train_members(specs, train_ds, test_ds, 2, seed, spec.train)
+    def cells(bundle, member_accs, data, seed):
         recipient, donor = bundle.members
         context = {"recipient_acc": member_accs[0], "donor_acc": member_accs[1]}
-        out = []
         for p, label in zip(values, labels):
-            t0 = time.perf_counter()
             mixed = transplant_fraction(recipient, donor, float(p))
-            out.append((label, _cell(mixed, seed, context, t0, train_ds, test_ds,
-                                     spec.plan.finetune)))
-        return out
+            yield (spec.name, label), _cell(mixed, seed, context, data, spec.plan.finetune)
 
-    return _collect(labels, lambda label: RunReport(spec.name, label),
-                    _map_seeds(one_seed, spec.seeds))
+    return _drive(spec, 2, [(spec.name, label) for label in labels], cells)
 
 
 def failure_case(spec: ExperimentSpec) -> RunReport:
     """Fuse a trained model with a copy of itself: accuracy must drop
     immediately and recover with a few epochs of fine-tuning."""
-    specs = build_arch(spec.arch)
-    train_ds, test_ds = build_dataset(spec.dataset)
+    key = (spec.name, "nt_self_fusion")
 
-    def one_seed(seed: int) -> SeedRecord:
-        t0 = time.perf_counter()
-        bundle, accs = train_members(specs, train_ds, test_ds, 1, seed, spec.train)
+    def cells(bundle, member_accs, data, seed):
         model = bundle.members[0]
         self_bundle = EnsembleBundle([model, model.clone()], [seed, seed])
-        fused = fuse(self_bundle, FusionPlan())
-        context = {"member_acc": accs[0],
-                   "avg_self_acc": evaluate(vanilla_average(self_bundle), test_ds)["accuracy"]}
-        return _cell(fused, seed, context, t0, train_ds, test_ds, spec.plan.finetune)
+        context = {"member_acc": member_accs[0],
+                   "avg_self_acc": evaluate(vanilla_average(self_bundle), data[1])["accuracy"]}
+        yield key, _cell(fuse(self_bundle, FusionPlan()), seed, context, data,
+                         spec.plan.finetune)
 
-    return RunReport(spec.name, "nt_self_fusion", _map_seeds(one_seed, spec.seeds))
+    return _drive(spec, 1, [key], cells)[0]
 
 
 def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
@@ -477,31 +451,18 @@ def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
     _distinct(methods, "fusion methods")
     if spec.k != 2 and "align" in methods:
         raise InvalidArg("align baseline is limited to k=2")
-    specs = build_arch(spec.arch)
-    train_ds, test_ds = build_dataset(spec.dataset)
     labels = list(methods) + ([f"{m}+distill" for m in methods] if kd else [])
 
-    def one_seed(seed: int):
-        bundle, member_accs = train_members(specs, train_ds, test_ds, spec.k, seed, spec.train)
-        context = {"ensemble_acc": ensemble_accuracy(bundle.members, test_ds),
-                   "best_member_acc": max(member_accs)}
-        out = []
+    def cells(bundle, member_accs, data, seed):
+        context = _context(bundle.members, member_accs, data[1])
         for m in methods:
-            t0 = time.perf_counter()
             fused = fuse(bundle, FusionPlan(method=m, finetune=spec.plan.finetune))
-            rec = _cell(fused, seed, context, t0, train_ds, test_ds, spec.plan.finetune)
-            out.append((m, rec))
-            if kd is not None:  # same context and immediate accuracy, distilled instead
-                t0 = time.perf_counter()
-                kd_cfg = spec.plan.finetune.reseeded(stream_seed(seed, DISTILL_STREAM))
-                _, history = distill(fused, bundle, train_ds, test_ds, kd_cfg, kd)
-                krec = SeedRecord(seed=seed, metrics=dict(rec.metrics))
-                krec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
-                krec.wall_seconds = time.perf_counter() - t0
-                out.append((f"{m}+distill", krec))
-        return out
+            yield (spec.name, m), _cell(fused, seed, context, data, spec.plan.finetune)
+            if kd is not None:  # the same fused model, distilled instead
+                yield (spec.name, f"{m}+distill"), _cell(fused, seed, context, data,
+                                                         spec.plan.finetune, kd, bundle)
 
-    return _collect(labels, lambda m: RunReport(spec.name, m), _map_seeds(one_seed, spec.seeds))
+    return _drive(spec, spec.k, [(spec.name, label) for label in labels], cells)
 
 
 def run_spec(doc: dict) -> list[RunReport]:

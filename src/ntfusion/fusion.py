@@ -69,6 +69,11 @@ class FusionPlan:
             raise InvalidArg(f"unknown pipeline {self.pipeline!r}")
         if self.sparsity is not None and not 0.0 <= self.sparsity < 1.0:
             raise InvalidArg("sparsity must be in [0, 1)")
+        # Refuse settings the plan would never read rather than ignore them.
+        if self.method != "nt" and self.pipeline != "merge_prune_ft":
+            raise InvalidArg(f"pipeline {self.pipeline!r} needs method 'nt', not {self.method!r}")
+        if self.sparsity is not None and (self.method != "nt" or self.pipeline == "prune_merge_ft"):
+            raise InvalidArg(f"{self.method} with {self.pipeline} reads no sparsity")
 
 
 def _require_fusable(bundle: EnsembleBundle) -> None:

@@ -112,7 +112,10 @@ def write_json(reports, path) -> None:
 
 def write_timings(reports, path) -> None:
     """Each record's measured wall-clock seconds, keyed "experiment/method";
-    intentionally not covered by the byte-identical rerun guarantee."""
+    intentionally not covered by the byte-identical rerun guarantee. In every
+    experiment kind a record's seconds are its seed's member training plus
+    the work the record adds (fusion, evaluation, fine-tune or distillation;
+    see `experiments._drive`)."""
     doc = {
         f"{rep.experiment}/{rep.method}": [
             {"seed": r.seed, "wall_seconds": r.wall_seconds} for r in rep.records

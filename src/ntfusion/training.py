@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -72,7 +71,6 @@ class EpochRecord:
     train_loss: float
     test_loss: float
     test_accuracy: float
-    wall_seconds: float
 
 
 @dataclass
@@ -117,7 +115,6 @@ def _sgd_step(net: Network, velocity, grads, lr: float, momentum: float) -> None
 
 
 def _epoch_pass(net, train_ds, test_ds, cfg, epoch, velocity, batch_fn) -> EpochRecord:
-    t0 = time.perf_counter()
     lr = cfg.lr_at(epoch)
     batch_losses = []
     rows = _batch_rows(len(train_ds), cfg.batch, epoch)
@@ -136,7 +133,6 @@ def _epoch_pass(net, train_ds, test_ds, cfg, epoch, velocity, batch_fn) -> Epoch
         train_loss=float(np.mean(batch_losses)) if batch_losses else float("nan"),
         test_loss=metrics["mean_loss"],
         test_accuracy=metrics["accuracy"],
-        wall_seconds=time.perf_counter() - t0,
     )
 
 

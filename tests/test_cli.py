@@ -72,6 +72,26 @@ class TestExitCodes:
         assert run(["prune", "--in", workdir / "a.ckpt", "--sparsity", "0.5",
                     "--keep-counts", "8", "--out", workdir / "p.ckpt"]) == 1
 
+    @pytest.mark.parametrize("counts", ["4,x", "", "4,,8", "1.5"])
+    def test_prune_non_integer_keep_counts_is_usage_error(self, workdir, capsys, counts):
+        code = run(["prune", "--in", workdir / "a.ckpt", "--keep-counts", counts,
+                    "--out", workdir / "p.ckpt"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage:") and "--keep-counts" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["avg", "align", "nt-iter", "nt-rec"])
+    def test_fuse_sparsity_without_nt_exits_2(self, tmp_path, capsys, method):
+        specs = [nw.linear(4, 6), nw.relu(), nw.linear(6, 3)]
+        paths = [tmp_path / f"m{i}.ckpt" for i in range(2)]
+        for i, path in enumerate(paths):
+            save_checkpoint(nw.init_network(specs, RngStream(i, "init")), path)
+        code = run(["fuse", "--method", method, "--sparsity", "0.5", "--in", *paths,
+                    "--out", tmp_path / "f.ckpt"])
+        assert code == 2
+        assert "sparsity" in capsys.readouterr().err
+        assert not (tmp_path / "f.ckpt").exists()
+
     def test_shared_parser_matches_fresh_parsers(self, workdir, capsys):
         """The parser is built once per process; usage errors between valid
         commands give the same codes and output as a new parser per call."""
@@ -306,6 +326,17 @@ class TestBadSpec:
         code, err = self.run_spec(tmp_path, capsys, edited(small_spec(), path, value))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("plan", [
+        {"method": "avg", "sparsity": 0.5},
+        {"method": "nt_iterative", "sparsity": 0.5},
+        {"method": "nt", "pipeline": "prune_merge_ft", "sparsity": 0.5},
+        {"method": "avg", "pipeline": "prune_merge_ft"},
+        {"method": "align", "pipeline": "merge_ft_prune_ft"},
+    ], ids=str)
+    def test_plan_setting_the_method_never_reads_exits_2(self, tmp_path, capsys, plan):
+        code, err = self.run_spec(tmp_path, capsys, dict(small_spec(), plan=plan))
+        assert code == 2 and err.startswith("error:")
+
     @pytest.mark.parametrize("doc", [
         {"dataset": {"kind": "blobs"}, "arch": {"type": "mlp"}},
         "[1, 2]",
@@ -383,6 +414,32 @@ class TestBadSpec:
         doc["dataset"] = {"kind": "csv", "path": str(data)}
         code, err = self.run_spec(tmp_path, capsys, doc)
         assert code == 2 and err.startswith(f"error: {data}:3:")
+
+
+TIMED_KINDS = [
+    {"experiment": "pipeline"},
+    {"experiment": "multimodel", "ks": [2, 3], "methods": ["nt", "avg"]},
+    {"experiment": "sweep", "axis": "width", "values": [4, 8]},
+    {"experiment": "failure"},
+    {"experiment": "compare", "methods": ["nt", "avg"],
+     "kd": {"temperature": 2.0, "soft_weight": 0.5}},
+]
+
+
+@pytest.mark.parametrize("keys", TIMED_KINDS, ids=lambda keys: keys["experiment"])
+def test_timings_hold_one_wall_time_per_cell_and_seed(tmp_path, keys):
+    """timings.json has exactly the report's cells, each with one positive
+    wall time per seed, in seed order."""
+    doc = dict(small_spec(), seeds=[3, 1], finetune_epochs=1, **keys)
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert run(["experiment", "--spec", tmp_path / "spec.json", "--out", tmp_path]) == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    cells = {f"{r['experiment']}/{r['method']}" for r in rows}
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert set(timings) == cells
+    for entries in timings.values():
+        assert [e["seed"] for e in entries] == [3, 1]
+        assert all(e["wall_seconds"] > 0 for e in entries)
 
 
 # Small JSON values only: a spec key set to a large number could ask for a

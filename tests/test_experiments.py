@@ -1,7 +1,6 @@
 """Experiment orchestration tests at tiny desk scale (trend checks live in
 test_acceptance; these cover wiring, determinism, and structural examples)."""
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -136,16 +135,6 @@ class TestRunPipeline:
         a = run_pipeline(spec)
         b = run_pipeline(spec)
         assert report_rows([a]) == report_rows([b])
-
-    def test_nt_threads_does_not_change_results(self):
-        spec = tiny_spec()
-        serial = report_rows([run_pipeline(spec)])
-        os.environ["NT_THREADS"] = "2"
-        try:
-            threaded = report_rows([run_pipeline(spec)])
-        finally:
-            del os.environ["NT_THREADS"]
-        assert serial == threaded
 
 
 class TestAblations:

@@ -378,6 +378,29 @@ class TestReductionSchemes:
             assert out.arch_id == bundle.arch_id
 
 
+class TestFusionPlan:
+    @pytest.mark.parametrize("kw", [
+        {"method": "nt", "sparsity": 0.5},
+        {"method": "nt", "pipeline": "merge_ft_prune_ft", "sparsity": 0.5},
+        {"method": "nt", "pipeline": "prune_merge_ft"},
+        {"method": "avg"},
+    ], ids=str)
+    def test_settings_the_plan_reads_are_accepted(self, kw):
+        FusionPlan(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        *({"method": m, "sparsity": 0.5}
+          for m in ("nt_iterative", "nt_recursive", "avg", "align")),
+        {"method": "nt", "pipeline": "prune_merge_ft", "sparsity": 0.5},
+        *({"method": m, "pipeline": p}
+          for m in ("avg", "align", "nt_iterative")
+          for p in ("prune_merge_ft", "merge_ft_prune_ft")),
+    ], ids=str)
+    def test_settings_the_plan_never_reads_are_refused(self, kw):
+        with pytest.raises(InvalidArg):
+            FusionPlan(**kw)
+
+
 def conv57_specs():
     """Odd channel counts on 15x15 inputs, BN after each conv, and a flatten
     whose block is 3x3 columns per channel."""

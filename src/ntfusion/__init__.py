@@ -44,7 +44,8 @@ from .network import (
 )
 from .pruning import KeepPolicy, magnitude_prune, prune_to_architecture
 from .tensor import RngStream, conv2d, matmul, row_l2_norms
-from .training import History, KdConfig, StepDecay, TrainConfig, distill, evaluate, train
+from .training import (History, KdConfig, StepDecay, TrainConfig, distill, ensemble_logits,
+                       evaluate, train)
 
 __version__ = "0.1.0"
 
@@ -56,5 +57,5 @@ __all__ = [
     "batchnorm", "conv", "flatten", "forward", "init_network", "linear", "maxpool",
     "relu", "KeepPolicy", "magnitude_prune", "prune_to_architecture", "RngStream",
     "conv2d", "matmul", "row_l2_norms", "History", "KdConfig", "StepDecay",
-    "TrainConfig", "distill", "evaluate", "train",
+    "TrainConfig", "distill", "ensemble_logits", "evaluate", "train",
 ]

@@ -20,7 +20,7 @@ from .fusion import EnsembleBundle, FusionPlan, fuse
 from .network import init_network
 from .pruning import KeepPolicy, magnitude_prune
 from .tensor import RngStream
-from .training import KdConfig, TrainConfig, distill, evaluate, train
+from .training import KdConfig, TrainConfig, distill, ensemble_logits, evaluate, train
 
 _METHODS = {"nt": "nt", "nt-iter": "nt_iterative", "nt-rec": "nt_recursive",
             "avg": "avg", "align": "align"}
@@ -166,7 +166,8 @@ def _cmd_distill(args) -> int:
     train_ds, test_ds = build_dataset(_load_descriptor(args.data))
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr).reseeded(args.seed)
     kd = KdConfig(temperature=args.temperature, soft_weight=args.soft_weight)
-    student, history = distill(student, teachers, train_ds, test_ds, cfg, kd)
+    student, history = distill(student, ensemble_logits(teachers.members, train_ds), train_ds,
+                               test_ds, cfg, kd)
     save_checkpoint(student, args.out, {"distilled_from": list(args.teachers)})
     if history.records:
         print(f"distilled {args.epochs} epochs, test accuracy "

@@ -24,7 +24,6 @@ class Dataset:
     features: Array
     labels: np.ndarray
     num_classes: int
-    split_tag: str = "train"
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -40,7 +39,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(np.ascontiguousarray(self.features[idx]), self.labels[idx],
-                       self.num_classes, self.split_tag)
+                       self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,7 @@ def _read_idx_header(blob: bytes, path, expected_magic: int, ndims: int):
     return dims, blob[4 * (1 + ndims) :]
 
 
-def load_idx(images_path, labels_path, num_classes: int | None = None,
-             split_tag: str = "train") -> Dataset:
+def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
     """Load a big-endian IDX image/label pair; pixels scaled to [0, 1]."""
     images_blob = Path(images_path).read_bytes()
     labels_blob = Path(labels_path).read_bytes()
@@ -82,10 +80,10 @@ def load_idx(images_path, labels_path, num_classes: int | None = None,
     labels = np.frombuffer(lbody[:nl], dtype=np.uint8).astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if n else 1
-    return Dataset(features, labels, num_classes, split_tag)
+    return Dataset(features, labels, num_classes)
 
 
-def load_csv(path, num_classes: int | None = None, split_tag: str = "train") -> Dataset:
+def load_csv(path, num_classes: int | None = None) -> Dataset:
     """CSV with an optional header row; the final column is the integer label.
 
     Text that is not UTF-8, a non-numeric cell, a value that is not a finite
@@ -132,7 +130,7 @@ def load_csv(path, num_classes: int | None = None, split_tag: str = "train") -> 
     labels = np.array(labels, dtype=np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    return Dataset(features, labels, num_classes, split_tag)
+    return Dataset(features, labels, num_classes)
 
 
 def synth_blobs(n: int, classes: int, dim: int, spread: float, seed: int) -> Dataset:
@@ -236,10 +234,7 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
     n = len(ds)
     n_test = max(1, int(round(n * test_fraction)))
     order = RngStream(seed, "split").permutation(n)
-    test = ds.subset(order[:n_test])
-    train = ds.subset(order[n_test:])
-    train.split_tag, test.split_tag = "train", "test"
-    return train, test
+    return ds.subset(order[n_test:]), ds.subset(order[:n_test])
 
 
 def _batch_rows(n: int, plan: BatchPlan, epoch: int) -> Iterator[np.ndarray]:

@@ -38,7 +38,8 @@ from .network import LayerSpec, Network, init_network
 from .pruning import KeepPolicy, magnitude_prune, prune_concat, prune_to_architecture
 from .reporting import RunReport, SeedRecord
 from .tensor import RngStream
-from .training import KdConfig, StepDecay, TrainConfig, average_logits, distill, evaluate, train
+from .training import (KdConfig, StepDecay, TrainConfig, distill, ensemble_logits, evaluate,
+                       train)
 
 
 _REQUIRED = object()
@@ -104,9 +105,9 @@ def build_dataset(desc: dict) -> tuple[Dataset, Dataset]:
     if kind == "idx":
         num_classes = _get(desc, "num_classes", int, None)
         train_ds = load_idx(_get(desc, "train_images", str), _get(desc, "train_labels", str),
-                            num_classes, "train")
+                            num_classes)
         test_ds = load_idx(_get(desc, "test_images", str), _get(desc, "test_labels", str),
-                           num_classes, "test")
+                           num_classes)
         return (_first_rows(train_ds, _get(desc, "limit_train", int, 0), "limit_train"),
                 _first_rows(test_ds, _get(desc, "limit_test", int, 0), "limit_test"))
     if kind == "csv":
@@ -260,14 +261,10 @@ def train_members(specs: list[LayerSpec], train_ds: Dataset, test_ds: Dataset,
     return EnsembleBundle(members, seeds), accs
 
 
-def ensemble_accuracy(members, ds: Dataset, batch_size: int = 256) -> float:
-    correct = 0
-    for start in range(0, len(ds), batch_size):
-        x = ds.features[start : start + batch_size]
-        y = ds.labels[start : start + batch_size]
-        logits = average_logits(members, x)
-        correct += int((np.argmax(logits, axis=1) == y).sum())
-    return correct / len(ds)
+def ensemble_accuracy(members, ds: Dataset) -> float:
+    """Accuracy of the argmax of `ensemble_logits` (first index wins ties)."""
+    predicted = np.argmax(ensemble_logits(members, ds), axis=1)
+    return int((predicted == ds.labels).sum()) / len(ds)
 
 
 def _even_member_quotas(width: int, k: int) -> tuple[int, ...]:
@@ -302,11 +299,12 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
 
 
 def _cell(fused: Network, seed: int, metrics: dict[str, float], data: tuple[Dataset, Dataset],
-          ft_cfg: TrainConfig, kd: KdConfig | None = None, teachers=None) -> SeedRecord:
+          ft_cfg: TrainConfig, kd: KdConfig | None = None, teacher_logits=None) -> SeedRecord:
     """One fused model's record: the context `metrics`, its immediate test
     accuracy and, when `ft_cfg` has epochs, the test accuracy series of
     fine-tuning it with `ft_cfg`: on the seed's fine-tune stream, or, given
-    `kd`, distilled from `teachers` on the seed's distillation stream."""
+    `kd`, distilled from `teacher_logits` (one row per training row) on the
+    seed's distillation stream."""
     train_ds, test_ds = data
     rec = SeedRecord(seed=seed)
     for name, value in metrics.items():
@@ -315,7 +313,7 @@ def _cell(fused: Network, seed: int, metrics: dict[str, float], data: tuple[Data
     if ft_cfg.epochs > 0:
         cfg = ft_cfg.reseeded(stream_seed(seed, FINETUNE_STREAM if kd is None else DISTILL_STREAM))
         _, history = (train(fused, train_ds, test_ds, cfg) if kd is None
-                      else distill(fused, teachers, train_ds, test_ds, cfg, kd))
+                      else distill(fused, teacher_logits, train_ds, test_ds, cfg, kd))
         rec.set_series("finetuned_acc", [r.test_accuracy for r in history.records])
     return rec
 
@@ -346,19 +344,25 @@ def _context(members, member_accs, test_ds: Dataset) -> dict[str, float]:
             "best_member_acc": max(member_accs)}
 
 
+def _pipeline_cell(bundle: EnsembleBundle, context: dict[str, float],
+                   data: tuple[Dataset, Dataset], seed: int, plan: FusionPlan) -> SeedRecord:
+    """The record of fusing `bundle` per the plan's pipeline and fine-tuning."""
+    fused, merged_series = _pipeline_fuse(bundle, plan, *data, seed)
+    ft = plan.finetune  # the mid fine-tune spent part of its epochs
+    rec = _cell(fused, seed, context, data, replace(ft, epochs=ft.epochs - len(merged_series)))
+    if merged_series:
+        rec.set_series("merged_ft_acc", merged_series)
+    return rec
+
+
 def run_pipeline(spec: ExperimentSpec) -> RunReport:
     """Train k members per seed, fuse per the plan, fine-tune, and report."""
     method = spec.plan.method
     key = (spec.name, method if method != "nt" else f"nt/{spec.plan.pipeline}")
 
     def cells(bundle, member_accs, data, seed):
-        fused, merged_series = _pipeline_fuse(bundle, spec.plan, *data, seed)
-        ft = spec.plan.finetune  # the mid fine-tune spent part of its epochs
-        rec = _cell(fused, seed, _context(bundle.members, member_accs, data[1]), data,
-                    replace(ft, epochs=ft.epochs - len(merged_series)))
-        if merged_series:
-            rec.set_series("merged_ft_acc", merged_series)
-        yield key, rec
+        context = _context(bundle.members, member_accs, data[1])
+        yield key, _pipeline_cell(bundle, context, data, seed, spec.plan)
 
     return _drive(spec, spec.k, [key], cells)[0]
 
@@ -391,7 +395,9 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
     _items(values, int if axis in ("width", "depth") else float, f"{axis} sweep values")
     _distinct(values, f"{axis} sweep values")
     if axis in ("width", "depth"):
-        hidden = spec.arch.get("hidden", [64])
+        hidden = _list(spec.arch, "hidden", int, [64])
+        if axis == "depth" and not hidden:
+            raise BadSpec("a depth sweep repeats the first 'hidden' width, and the list is empty")
         return [
             run_pipeline(replace(spec, name=f"{spec.name}-{axis}{v}", arch=dict(
                 spec.arch, hidden=[v] * len(hidden) if axis == "width" else [hidden[0]] * v)))
@@ -399,18 +405,20 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
         ]
     if axis == "transplant_fraction":
         return _transplant_sweep(values, spec)
-    if axis == "sparsity":
-        reports = []
+    if axis == "sparsity":  # every value fuses the same members
         recovered = 1.0 - 1.0 / spec.k
-        for v in values:
-            rep = run_pipeline(replace(
-                spec, name=f"{spec.name}-s{v}",
-                plan=replace(spec.plan, method="nt", sparsity=float(v))))
-            marker = 1.0 if abs(float(v) - recovered) < 1e-9 else 0.0
-            for rec in rep.records:
-                rec.set_metric("member_size_recovered", marker)
-            reports.append(rep)
-        return reports
+        plans = [replace(spec.plan, method="nt", sparsity=float(v)) for v in values]
+        keys = [(f"{spec.name}-s{v}", f"nt/{spec.plan.pipeline}") for v in values]
+
+        def cells(bundle, member_accs, data, seed):
+            context = _context(bundle.members, member_accs, data[1])
+            for v, plan, key in zip(values, plans, keys):
+                rec = _pipeline_cell(bundle, context, data, seed, plan)
+                rec.set_metric("member_size_recovered",
+                               1.0 if abs(float(v) - recovered) < 1e-9 else 0.0)
+                yield key, rec
+
+        return _drive(spec, spec.k, keys, cells)
     raise InvalidArg(f"unknown sweep axis {axis!r}")
 
 
@@ -455,14 +463,24 @@ def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
 
     def cells(bundle, member_accs, data, seed):
         context = _context(bundle.members, member_accs, data[1])
+        teacher_logits = (ensemble_logits(bundle.members, data[0])  # shared by every arm
+                          if kd is not None and spec.plan.finetune.epochs > 0 else None)
         for m in methods:
             fused = fuse(bundle, FusionPlan(method=m, finetune=spec.plan.finetune))
             yield (spec.name, m), _cell(fused, seed, context, data, spec.plan.finetune)
             if kd is not None:  # the same fused model, distilled instead
                 yield (spec.name, f"{m}+distill"), _cell(fused, seed, context, data,
-                                                         spec.plan.finetune, kd, bundle)
+                                                         spec.plan.finetune, kd, teacher_logits)
 
     return _drive(spec, spec.k, [(spec.name, label) for label in labels], cells)
+
+
+# Plan keys a driver never reads, because it picks its own fusion methods or
+# sets the keys itself: a spec that sets one is refused.
+_OWN_FUSION = ("method", "pipeline", "sparsity")
+_UNREAD_PLAN_KEYS = {"multimodel": _OWN_FUSION, "compare": _OWN_FUSION, "failure": _OWN_FUSION,
+                     "transplant_fraction sweep": _OWN_FUSION,
+                     "sparsity sweep": ("method", "sparsity")}
 
 
 def run_spec(doc: dict) -> list[RunReport]:
@@ -471,10 +489,14 @@ def run_spec(doc: dict) -> list[RunReport]:
     `experiment` picks the driver (default "pipeline"; also "multimodel",
     "sweep", "failure" and "compare"), and the driver reads its own keys:
     `ks` and `methods` (multimodel), `axis` and `values` (sweep), `methods`
-    and `kd` (compare).
+    and `kd` (compare). A `plan` key the driver never reads is refused.
     """
     spec = ExperimentSpec.from_json(doc)
     kind = _get(doc, "experiment", str, "pipeline")
+    what = f"{_get(doc, 'axis', str, '').lower()} sweep" if kind == "sweep" else kind
+    unread = [key for key in _UNREAD_PLAN_KEYS.get(what, ()) if key in _get(doc, "plan", dict, {})]
+    if unread:
+        raise BadSpec(f"a {what} experiment never reads plan keys {unread}")
     if kind == "pipeline":
         return [run_pipeline(spec)]
     if kind == "failure":

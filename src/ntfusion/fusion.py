@@ -99,8 +99,6 @@ def concat_fuse(bundle: EnsembleBundle) -> Network:
 def vanilla_average(bundle: EnsembleBundle) -> Network:
     """Uniform elementwise mean of every parameter tensor, running stats
     included. Accumulation runs in member order for reproducibility."""
-    if bundle.k < 1:
-        raise InvalidArg("empty bundle")
     out = bundle.members[0].clone()
     out.origins = None
     scale = np.float32(1.0 / bundle.k)
@@ -131,9 +129,11 @@ def align_average(a: Network, b: Network) -> Network:
             w_b = w_b.take(inputs, axis=1)
         rows_a = a.params[c.layer]["weight"].reshape(c.units, -1).astype(np.float64)
         rows_b = w_b.reshape(c.units, -1).astype(np.float64)
-        sq_a = (rows_a * rows_a).sum(axis=1)[:, None]
-        sq_b = (rows_b * rows_b).sum(axis=1)[None, :]
-        cost = sq_a + sq_b - 2.0 * rows_a @ rows_b.T
+        cost = (rows_a * rows_a).sum(axis=1)[:, None] + (rows_b * rows_b).sum(axis=1)[None, :]
+        cross = rows_a @ rows_b.T
+        cross *= 2.0
+        cost -= cross  # |a|^2 + |b|^2 - 2 a.b, built in place to keep the peak low
+        del rows_a, rows_b, cross  # freed before the assignment allocates its own buffers
         _, order = linear_sum_assignment(cost)
         orders[c.layer] = order
         inputs = _unit_columns(order, c.block)

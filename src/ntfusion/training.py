@@ -1,4 +1,8 @@
-"""SGD-with-momentum training, evaluation, and knowledge distillation."""
+"""SGD-with-momentum training, evaluation, and knowledge distillation.
+
+`train` and `distill` share one epoch loop. `distill` reads teacher logits
+that the caller computes once, with `ensemble_logits`, for any number of runs.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ import numpy as np
 
 from . import losses, network
 from .data import BatchPlan, Dataset, _batch_rows, batches
-from .errors import InvalidArg, NonFiniteLoss, NonFiniteTensor
+from .errors import InvalidArg, NonFiniteLoss, NonFiniteTensor, ShapeMismatch
 from .network import Network
 from .tensor import Array
 
@@ -50,19 +54,20 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class KdConfig:
-    """Distillation knobs; hard_weight defaults to 1 - soft_weight."""
+    """Distillation knobs; the hard (label) term weighs 1 - soft_weight."""
 
     temperature: float
     soft_weight: float
-    hard_weight: float = -1.0
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
             raise InvalidArg("temperature must be positive")
         if not 0.0 <= self.soft_weight <= 1.0:
             raise InvalidArg("soft_weight must be in [0, 1]")
-        if self.hard_weight < 0:
-            object.__setattr__(self, "hard_weight", 1.0 - self.soft_weight)
+
+    @property
+    def hard_weight(self) -> float:
+        return 1.0 - self.soft_weight
 
 
 @dataclass
@@ -78,81 +83,67 @@ class History:
     records: list[EpochRecord] = field(default_factory=list)
 
 
-# Rows per eval-mode forward, in `evaluate` and in distillation's teacher pass.
+# Rows per eval-mode forward, in `evaluate` and in `ensemble_logits`.
 _EVAL_ROWS = 256
 
 
-def evaluate(net: Network, ds: Dataset, batch_size: int = _EVAL_ROWS) -> dict[str, float]:
+def evaluate(net: Network, ds: Dataset) -> dict[str, float]:
     """Eval-mode accuracy (argmax, first index wins ties) and mean loss."""
     correct = 0
     loss_sum = 0.0
     n = len(ds)
-    for start in range(0, n, batch_size):
-        x = ds.features[start : start + batch_size]
-        y = ds.labels[start : start + batch_size]
+    for start in range(0, n, _EVAL_ROWS):
+        x = ds.features[start : start + _EVAL_ROWS]
+        y = ds.labels[start : start + _EVAL_ROWS]
         logits = network.forward(net, x, "eval")
         correct += int((np.argmax(logits, axis=1) == y).sum())
         loss_sum += float(losses.cross_entropy_per_sample(logits, y).sum(dtype=np.float64))
     return {"accuracy": correct / n, "mean_loss": loss_sum / n}
 
 
-def _sgd_state(net: Network):
-    return [
-        {k: np.zeros_like(p[k]) for k in ("weight", "bias") if k in p}
-        for p in net.params
-    ]
-
-
-def _sgd_step(net: Network, velocity, grads, lr: float, momentum: float) -> None:
-    # v <- momentum * v - lr * g ; w <- w + v
-    lr32 = np.float32(lr)
-    mom32 = np.float32(momentum)
-    for p, v, g in zip(net.params, velocity, grads):
-        for key in g:
-            v[key] *= mom32
-            v[key] -= lr32 * g[key]
-            p[key] += v[key]
-
-
-def _epoch_pass(net, train_ds, test_ds, cfg, epoch, velocity, batch_fn) -> EpochRecord:
-    lr = cfg.lr_at(epoch)
-    batch_losses = []
-    rows = _batch_rows(len(train_ds), cfg.batch, epoch)
-    for bi, ((bx, by), idx) in enumerate(zip(batches(train_ds, cfg.batch, epoch), rows)):
-        try:
-            value, grads = batch_fn(net, bx, by, idx)
-        except NonFiniteTensor as exc:
-            raise NonFiniteLoss(f"non-finite values at epoch {epoch}, batch {bi}") from exc
-        if not np.isfinite(value):
-            raise NonFiniteLoss(f"loss {value} at epoch {epoch}, batch {bi}")
-        batch_losses.append(value)
-        _sgd_step(net, velocity, grads, lr, cfg.momentum)
-    metrics = evaluate(net, test_ds)
-    return EpochRecord(
-        epoch=epoch,
-        train_loss=float(np.mean(batch_losses)) if batch_losses else float("nan"),
-        test_loss=metrics["mean_loss"],
-        test_accuracy=metrics["accuracy"],
-    )
+def _fit(net: Network, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
+         step) -> tuple[Network, History]:
+    """The SGD loop of `train` and `distill`, on a clone of `net`:
+    `step(net, bx, by, rows)` gives one batch's (loss, grads)."""
+    net = net.clone()
+    velocity = [{k: np.zeros_like(p[k]) for k in ("weight", "bias") if k in p}
+                for p in net.params]
+    momentum = np.float32(cfg.momentum)
+    history = History()
+    for epoch in range(cfg.epochs):
+        lr = np.float32(cfg.lr_at(epoch))
+        batch_losses = []
+        rows = _batch_rows(len(train_ds), cfg.batch, epoch)
+        for bi, ((bx, by), idx) in enumerate(zip(batches(train_ds, cfg.batch, epoch), rows)):
+            try:
+                value, grads = step(net, bx, by, idx)
+            except NonFiniteTensor as exc:
+                raise NonFiniteLoss(f"non-finite values at epoch {epoch}, batch {bi}") from exc
+            if not np.isfinite(value):
+                raise NonFiniteLoss(f"loss {value} at epoch {epoch}, batch {bi}")
+            batch_losses.append(value)
+            for p, v, g in zip(net.params, velocity, grads):
+                for key in g:
+                    v[key] *= momentum
+                    v[key] -= lr * g[key]
+                    p[key] += v[key]
+        metrics = evaluate(net, test_ds)
+        history.records.append(EpochRecord(
+            epoch=epoch,
+            train_loss=float(np.mean(batch_losses)) if batch_losses else float("nan"),
+            test_loss=metrics["mean_loss"],
+            test_accuracy=metrics["accuracy"],
+        ))
+    return net, history
 
 
 def train(net: Network, train_ds: Dataset, test_ds: Dataset,
           cfg: TrainConfig) -> tuple[Network, History]:
-    """SGD with momentum on cross-entropy; the input network is not mutated.
-
-    Velocity buffers start at zero; the update is v <- momentum*v - lr*g,
-    w <- w + v. The test set is evaluated after every epoch in eval mode.
-    """
-    net = net.clone()
-    velocity = _sgd_state(net)
-    history = History()
-
-    def step(n, bx, by, rows):
-        return network.backward(n, bx, by, loss="cross_entropy")
-
-    for epoch in range(cfg.epochs):
-        history.records.append(_epoch_pass(net, train_ds, test_ds, cfg, epoch, velocity, step))
-    return net, history
+    """SGD with momentum on cross-entropy, v <- momentum*v - lr*g, w <- w + v
+    from zero velocity; the input network is not mutated. The test set is
+    evaluated after every epoch in eval mode."""
+    return _fit(net, train_ds, test_ds, cfg,
+                lambda n, bx, by, rows: network.backward(n, bx, by, loss="cross_entropy"))
 
 
 def average_logits(nets, x: Array) -> Array:
@@ -164,37 +155,25 @@ def average_logits(nets, x: Array) -> Array:
     return acc
 
 
-def _teacher_logits(members, ds: Dataset) -> Array:
-    """`average_logits` of every row of `ds`, _EVAL_ROWS rows at a time."""
+def ensemble_logits(nets, ds: Dataset) -> Array:
+    """`average_logits` of every row of `ds`, _EVAL_ROWS rows per forward; a
+    forward that overflows raises NonFiniteLoss."""
     try:
-        chunks = [average_logits(members, ds.features[s : s + _EVAL_ROWS])
+        chunks = [average_logits(nets, ds.features[s : s + _EVAL_ROWS])
                   for s in range(0, len(ds), _EVAL_ROWS)]
     except NonFiniteTensor as exc:
-        raise NonFiniteLoss(f"non-finite teacher logits ({exc})") from exc
+        raise NonFiniteLoss(f"non-finite ensemble logits ({exc})") from exc
     return np.concatenate(chunks) if chunks else np.empty((0, 0), np.float32)
 
 
-def distill(student: Network, teachers, train_ds: Dataset, test_ds: Dataset,
+def distill(student: Network, teacher_logits: Array, train_ds: Dataset, test_ds: Dataset,
             cfg: TrainConfig, kd: KdConfig) -> tuple[Network, History]:
-    """Train the student against the uniform logit average of the teachers.
-
-    Teacher/student architectures may differ; only the dataset shapes must
-    agree. Teachers run in eval mode and are never mutated. They run once per
-    call, before the first epoch (none when cfg.epochs is 0): their averaged
-    logits over `train_ds`, 256 rows per forward. Each batch then reads
-    its rows of that cache by index. On the tested build this is bit-identical
-    to running the teachers on every batch; a teacher forward that overflows
-    raises NonFiniteLoss.
-    """
-    members = list(teachers.members) if hasattr(teachers, "members") else list(teachers)
-    student = student.clone()
-    velocity = _sgd_state(student)
-    history = History()
-    t_logits = _teacher_logits(members, train_ds) if cfg.epochs else None
-
-    def step(n, bx, by, rows):
-        return network.backward(n, bx, by, loss="kd", teacher_logits=t_logits[rows], kd_cfg=kd)
-
-    for epoch in range(cfg.epochs):
-        history.records.append(_epoch_pass(student, train_ds, test_ds, cfg, epoch, velocity, step))
-    return student, history
+    """Train the student against fixed teacher logits, one row per row of
+    `train_ds` (`ensemble_logits` of the teachers gives them); each batch
+    reads its rows by index. The student is not mutated. On the tested build
+    this is bit-identical to running the teachers on every batch."""
+    if len(teacher_logits) != len(train_ds):
+        raise ShapeMismatch(f"{len(teacher_logits)} teacher rows, {len(train_ds)} training rows")
+    return _fit(student, train_ds, test_ds, cfg,
+                lambda n, bx, by, rows: network.backward(
+                    n, bx, by, loss="kd", teacher_logits=teacher_logits[rows], kd_cfg=kd))

@@ -551,18 +551,12 @@ def distill(student, teachers, train_ds, test_ds, cfg, kd):
     """`training.distill` with every teacher run on every batch of every
     epoch: the per-batch path the teacher-logit cache replaced."""
     members = list(teachers.members) if hasattr(teachers, "members") else list(teachers)
-    student = student.clone()
-    velocity = training._sgd_state(student)
-    history = training.History()
 
     def step(n, bx, by, rows):
         t_logits = training.average_logits(members, bx)
         return network.backward(n, bx, by, loss="kd", teacher_logits=t_logits, kd_cfg=kd)
 
-    for epoch in range(cfg.epochs):
-        history.records.append(
-            training._epoch_pass(student, train_ds, test_ds, cfg, epoch, velocity, step))
-    return student, history
+    return training._fit(student, train_ds, test_ds, cfg, step)
 
 
 def assert_same_network(got, want):

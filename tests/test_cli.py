@@ -267,6 +267,17 @@ REFUSED_BEFORE_TRAINING = [
                            ("transplant_fraction", [0, 0.0]),
                            ("transplant_fraction", [0.5, 0.5000001]),  # both labelled p=0.5
                            ("sparsity", [0.5, 0.5])]),
+    # A depth sweep repeats the first hidden width, so it needs one.
+    {"experiment": "sweep", "axis": "depth", "values": [1, 2],
+     "arch": {"type": "mlp", "in_features": 4, "hidden": [], "classes": 3}},
+    # Plan keys the experiment kind never reads: it picks its own fusion.
+    {"experiment": "multimodel", "plan": {"pipeline": "merge_ft_prune_ft"}},
+    {"experiment": "compare", "plan": {"method": "avg"}},
+    {"experiment": "failure", "plan": {"sparsity": 0.5}},
+    {"experiment": "sweep", "axis": "transplant_fraction", "values": [0.5],
+     "plan": {"method": "nt"}},
+    {"experiment": "sweep", "axis": "sparsity", "values": [0.5], "plan": {"sparsity": 0.3}},
+    {"experiment": "sweep", "axis": "sparsity", "values": [0.5], "plan": {"method": "nt"}},
 ]
 ROW = {"experiment": "e", "method": "nt", "seed": 1, "epoch": 0, "metric": "m", "value": 0.5}
 BAD_REPORTS = {
@@ -362,6 +373,11 @@ class TestBadSpec:
         monkeypatch.setattr(experiments, "train_members", no_training)
         code, err = self.run_spec(tmp_path, capsys, dict(small_spec(), **keys))
         assert code == 2 and err.startswith("error:")
+
+    def test_depth_sweep_on_null_hidden_uses_the_default_width(self, tmp_path, capsys):
+        doc = dict(small_spec(), experiment="sweep", axis="depth", values=[1],
+                   arch=dict(small_spec()["arch"], hidden=None))
+        assert self.run_spec(tmp_path, capsys, doc) == (0, "")
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_bad_sweep_values_exit_2(self, tmp_path, capsys, axis):

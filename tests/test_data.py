@@ -268,6 +268,5 @@ class TestCsvAndSplit:
         ds = synth_blobs(40, 2, 3, 1.0, seed=6)
         train, test = train_test_split(ds, 0.25, seed=3)
         assert len(train) == 30 and len(test) == 10
-        assert train.split_tag == "train" and test.split_tag == "test"
         merged = np.concatenate([train.features.sum(axis=1), test.features.sum(axis=1)])
         np.testing.assert_allclose(np.sort(merged), np.sort(ds.features.sum(axis=1)), rtol=1e-6)

@@ -169,6 +169,34 @@ class TestAblations:
                  for r in reports}
         assert marks["tiny-s0.25"] == 0.0 and marks["tiny-s0.5"] == 1.0
 
+    @pytest.mark.parametrize("pipeline", ["merge_prune_ft", "merge_ft_prune_ft"])
+    def test_sparsity_sweep_trains_members_once_per_seed(self, monkeypatch, pipeline):
+        """Every value fuses the same members, and its records are those of a
+        pipeline run at that sparsity."""
+        from ntfusion import experiments
+
+        spec = tiny_spec(plan=FusionPlan(method="nt", pipeline=pipeline,
+                                         finetune=TrainConfig(epochs=2, lr=0.05,
+                                                              batch=BatchPlan(32))))
+        trained = experiments.train_members
+        seeds = []
+
+        def counted(*args):
+            seeds.append(args[4])
+            return trained(*args)
+
+        monkeypatch.setattr(experiments, "train_members", counted)
+        reports = ablation_sweep("sparsity", [0.25, 0.5, 0.6], spec)
+        assert seeds == [1, 2]
+        monkeypatch.undo()
+        for v, report in zip([0.25, 0.5, 0.6], reports):
+            alone = run_pipeline(replace(spec, name=f"tiny-s{v}",
+                                         plan=replace(spec.plan, sparsity=v)))
+            assert (report.experiment, report.method) == (alone.experiment, alone.method)
+            for rec, want in zip(report.records, alone.records, strict=True):
+                assert rec.metrics.pop("member_size_recovered") == (1.0 if v == 0.5 else 0.0)
+                assert (rec.metrics, rec.series) == (want.metrics, want.series)
+
 
 class TestFailureCase:
     def test_untrained_self_fusion_changes_outputs(self):
@@ -204,6 +232,26 @@ class TestCompareMethods:
         for r in reports:
             for rec in r.records:
                 assert len(rec.series["finetuned_acc"]) == 3
+
+    @pytest.mark.parametrize("kd,ft_epochs,passes", [(KdConfig(2.0, 0.5), 1, 1),
+                                                      (KdConfig(2.0, 0.5), 0, 0), (None, 1, 0)])
+    def test_teachers_run_over_the_training_set_once_per_seed(self, monkeypatch, kd,
+                                                              ft_epochs, passes):
+        from ntfusion import training
+
+        spec = tiny_spec(plan=FusionPlan(
+            method="nt", finetune=TrainConfig(epochs=ft_epochs, lr=0.05, batch=BatchPlan(32))))
+        train_rows = len(build_dataset(spec.dataset)[0])  # 225, one chunk; the test set has 75
+        forwards = []
+        per_chunk = training.average_logits
+
+        def counted(members, x):
+            forwards.append(len(x))
+            return per_chunk(members, x)
+
+        monkeypatch.setattr(training, "average_logits", counted)
+        compare_methods(spec, kd=kd)
+        assert forwards.count(train_rows) == passes * len(spec.seeds)
 
     def test_align_requires_k2(self):
         from ntfusion.errors import InvalidArg
@@ -244,7 +292,7 @@ class TestSeedStreams:
         cfg = cfg.reseeded(2 * 1000 + offset)
         if trainer is None:
             return accs(train(net, train_ds, test_ds, cfg)[1])
-        return accs(trainer(net, kw["teachers"], train_ds, test_ds, cfg, kw["kd"])[1])
+        return accs(trainer(net, kw["teacher_logits"], train_ds, test_ds, cfg, kw["kd"])[1])
 
     def check(self, series, net, cfg, offset, data, **kw):
         assert series == self.finetuned(net, cfg, offset, data, **kw)
@@ -305,7 +353,7 @@ class TestSeedStreams:
 
     def test_compare_finetune_and_distill(self):
         from ntfusion.fusion import vanilla_average
-        from ntfusion.training import distill
+        from ntfusion.training import distill, ensemble_logits
 
         spec = stream_spec()
         kd = KdConfig(temperature=2.0, soft_weight=0.5)
@@ -314,5 +362,6 @@ class TestSeedStreams:
         avg = vanilla_average(bundle)
         self.check(plain.records[0].series["finetuned_acc"], avg, spec.plan.finetune, 97, data)
         self.check(distilled.records[0].series["finetuned_acc"], avg, spec.plan.finetune, 131,
-                   data, trainer=distill, teachers=bundle, kd=kd)
+                   data, trainer=distill, teacher_logits=ensemble_logits(bundle.members, data[0]),
+                   kd=kd)
         assert distilled.records[0].metrics == plain.records[0].metrics

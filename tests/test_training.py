@@ -5,8 +5,7 @@ import pytest
 
 from ntfusion import network as nw, training
 from ntfusion.data import BatchPlan, synth_blobs, synth_shapes, train_test_split
-from ntfusion.errors import NonFiniteLoss
-from ntfusion.fusion import EnsembleBundle
+from ntfusion.errors import NonFiniteLoss, ShapeMismatch
 from ntfusion.losses import cross_entropy, kd as kd_loss_and_grad
 from ntfusion.network import Network, init_network
 from ntfusion.tensor import RngStream
@@ -15,6 +14,7 @@ from ntfusion.training import (
     StepDecay,
     TrainConfig,
     distill,
+    ensemble_logits,
     evaluate,
     train,
 )
@@ -143,10 +143,11 @@ class TestEvaluate:
         net = Network([nw.linear(3, 3)], [{"weight": w, "bias": b}])
         assert evaluate(net, ds)["accuracy"] == 1.0
 
-    def test_matches_scalar_loop_oracle(self):
+    def test_matches_scalar_loop_oracle(self, monkeypatch):
         ds = synth_blobs(23, 3, 4, 1.0, seed=63)
         net = mlp([4, 6, 3], seed=7)
-        got = evaluate(net, ds, batch_size=5)
+        monkeypatch.setattr(training, "_EVAL_ROWS", 5)  # five chunks, the last partial
+        got = evaluate(net, ds)
         correct = 0
         loss_sum = 0.0
         for i in range(len(ds)):
@@ -196,10 +197,10 @@ class TestDistill:
     def test_zero_epochs_identity(self):
         train_ds, test_ds = blob_task(seed=81)
         student = mlp([2, 8, 3], seed=10)
-        teachers = EnsembleBundle([mlp([2, 8, 3], seed=11), mlp([2, 8, 3], seed=12)])
+        teachers = [mlp([2, 8, 3], seed=11), mlp([2, 8, 3], seed=12)]
         cfg = TrainConfig(epochs=0, lr=0.05)
-        out, history = distill(student, teachers, train_ds, test_ds, cfg,
-                               KdConfig(2.0, 1.0))
+        out, history = distill(student, ensemble_logits(teachers, train_ds), train_ds, test_ds,
+                               cfg, KdConfig(2.0, 1.0))
         assert history.records == []
         for a, b in zip(out.params, student.params):
             for key in a:
@@ -217,7 +218,7 @@ class TestDistill:
                                TrainConfig(epochs=15, lr=0.1, batch=BatchPlan(16, 1)))
         student = mlp([2, 16, 3], seed=15)
         before = evaluate(student, test_ds)["accuracy"]
-        out, _ = distill(student, [teacher_net], train_ds, test_ds,
+        out, _ = distill(student, ensemble_logits([teacher_net], train_ds), train_ds, test_ds,
                          TrainConfig(epochs=10, lr=0.1, batch=BatchPlan(16, 2)),
                          KdConfig(2.0, 1.0))
         after = evaluate(out, test_ds)["accuracy"]
@@ -228,11 +229,10 @@ class TestDistill:
         huge = mlp([2, 8, 3], seed=16)
         for p in huge.params[::2]:  # the Linear layers
             p["weight"] *= np.float32(1e30)
-        with pytest.raises(NonFiniteLoss, match="teacher"):
-            distill(mlp([2, 8, 3], seed=17), [mlp([2, 8, 3], seed=18), huge], train_ds, test_ds,
-                    TrainConfig(epochs=1, lr=0.05), KdConfig(2.0, 0.5))
+        with pytest.raises(NonFiniteLoss, match="ensemble logits"):
+            ensemble_logits([mlp([2, 8, 3], seed=18), huge], train_ds)
 
-    def test_teachers_run_once_per_call(self, monkeypatch):
+    def test_teachers_run_once_per_row_and_never_in_distill(self, monkeypatch):
         train_ds, test_ds = blob_task(seed=85, n=700)  # 350 training rows: two chunks
         forwards = []
         per_batch = training.average_logits
@@ -243,11 +243,19 @@ class TestDistill:
 
         monkeypatch.setattr(training, "average_logits", counted)
         teachers = [mlp([2, 8, 3], seed=19), mlp([2, 8, 3], seed=20)]
-        for epochs, want in ((0, []), (3, [256, 94])):
-            forwards.clear()
-            distill(mlp([2, 8, 3], seed=21), teachers, train_ds, test_ds,
-                    TrainConfig(epochs=epochs, lr=0.05, batch=BatchPlan(32)), KdConfig(2.0, 0.5))
-            assert forwards == want
+        t_logits = ensemble_logits(teachers, train_ds)
+        assert forwards == [256, 94]
+        distill(mlp([2, 8, 3], seed=21), t_logits, train_ds, test_ds,
+                TrainConfig(epochs=3, lr=0.05, batch=BatchPlan(32)), KdConfig(2.0, 0.5))
+        assert forwards == [256, 94]
+
+    @pytest.mark.parametrize("rows", [0, 99, 101])
+    def test_wrong_teacher_row_count_raises_shape_mismatch(self, rows):
+        train_ds, test_ds = blob_task(seed=86)  # 100 training rows
+        t_logits = RngStream(87).normal((rows, 3))
+        with pytest.raises(ShapeMismatch, match=f"{rows} teacher rows, 100 training rows"):
+            distill(mlp([2, 8, 3], seed=22), t_logits, train_ds, test_ds,
+                    TrainConfig(epochs=1, lr=0.05), KdConfig(2.0, 0.5))
 
 
 def mlp_distill_case(k):
@@ -279,7 +287,8 @@ class TestDistillCache:
         cfg = TrainConfig(epochs=3, lr=0.05,
                           batch=BatchPlan(32, shuffle_seed=4, drop_last=drop_last))
         kd = KdConfig(2.0, 0.5)
-        got, got_hist = distill(student, EnsembleBundle(teachers), train_ds, test_ds, cfg, kd)
+        got, got_hist = distill(student, ensemble_logits(teachers, train_ds), train_ds, test_ds,
+                                cfg, kd)
         want, want_hist = distill_oracle(student, teachers, train_ds, test_ds, cfg, kd)
         assert_same_network(got, want)
         fields = lambda h: [(r.epoch, r.train_loss, r.test_loss, r.test_accuracy)

@@ -68,6 +68,8 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     images_blob = Path(images_path).read_bytes()
     labels_blob = Path(labels_path).read_bytes()
     (n, rows, cols), body = _read_idx_header(images_blob, images_path, IDX_IMAGES_MAGIC, 3)
+    if n == 0:
+        raise InvalidArg(f"{images_path}: no images")
     if len(body) < n * rows * cols:
         raise TruncatedFile(f"{images_path}: want {n * rows * cols} pixels, have {len(body)}")
     pixels = np.frombuffer(body[: n * rows * cols], dtype=np.uint8)
@@ -79,7 +81,7 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
         raise CountMismatch(f"{n} images vs {nl} labels")
     labels = np.frombuffer(lbody[:nl], dtype=np.uint8).astype(np.int64)
     if num_classes is None:
-        num_classes = int(labels.max()) + 1 if n else 1
+        num_classes = int(labels.max()) + 1
     return Dataset(features, labels, num_classes)
 
 

@@ -217,9 +217,10 @@ class ExperimentSpec:
 def _train_config(doc: dict) -> TrainConfig:
     doc = _object(doc, "train config")
     batch_doc = _get(doc, "batch", dict, {})
+    if "seed" in doc or "shuffle_seed" in batch_doc:  # each run seeds its own batch order
+        raise BadSpec("spec keys 'seed' and 'batch.shuffle_seed' of a train block are never read")
     plan = BatchPlan(
         batch_size=_get(batch_doc, "batch_size", int, 64),
-        shuffle_seed=_get(batch_doc, "shuffle_seed", int, 0),
         drop_last=_get(batch_doc, "drop_last", bool, False),
     )
     sched_doc = _get(doc, "schedule", dict, None)
@@ -231,7 +232,6 @@ def _train_config(doc: dict) -> TrainConfig:
         momentum=_get(doc, "momentum", float, 0.9),
         schedule=schedule,
         batch=plan,
-        seed=_get(doc, "seed", int, 0),
     )
 
 
@@ -380,7 +380,7 @@ def ablation_multimodel(spec: ExperimentSpec, ks=(2, 4, 8),
             bundle = EnsembleBundle(bundle_all.members[:k], bundle_all.member_seeds[:k])
             context = _context(bundle.members, member_accs[:k], data[1])
             for m in methods:
-                fused = fuse(bundle, FusionPlan(method=m, finetune=spec.plan.finetune))
+                fused = fuse(bundle, FusionPlan(method=m))
                 yield (f"{spec.name}-k{k}", m), _cell(fused, seed, context, data,
                                                       spec.plan.finetune)
 
@@ -466,7 +466,7 @@ def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
         teacher_logits = (ensemble_logits(bundle.members, data[0])  # shared by every arm
                           if kd is not None and spec.plan.finetune.epochs > 0 else None)
         for m in methods:
-            fused = fuse(bundle, FusionPlan(method=m, finetune=spec.plan.finetune))
+            fused = fuse(bundle, FusionPlan(method=m))
             yield (spec.name, m), _cell(fused, seed, context, data, spec.plan.finetune)
             if kd is not None:  # the same fused model, distilled instead
                 yield (spec.name, f"{m}+distill"), _cell(fused, seed, context, data,

@@ -21,7 +21,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ArchMismatch, InvalidArg
 from .network import Network, hidden_couplings
-from .pruning import KeepPolicy, _unit_columns, gather_units, permute_units, prune_concat
+from .pruning import (KeepPolicy, _ranked_order, _unit_columns, gather_units, permute_units,
+                      prune_concat)
 from .tensor import row_l2_norms
 
 
@@ -144,41 +145,34 @@ def transplant_fraction(recipient: Network, donor: Network, p: float) -> Network
     """Replace the weakest round(p*N) units per non-output layer of the
     recipient with the donor's strongest round(p*N) units.
 
-    A transplanted slot receives the donor unit's incoming row, bias, and BN
-    channel, and the donor's outgoing column in the next layer. Slots and
-    donor units are paired in ascending index order, so p=1 reproduces the
-    donor in all but the head bias, the recipient's; p=0 is the identity.
+    Slots and donor units (ties by index) pair by ascending index. A unit
+    brings its incoming row, bias, BN channel and outgoing weights. A link
+    between two transplanted units keeps the donor's weight; other links are
+    index-aligned (the donor's weight, at the kept unit's index). p=1 gives
+    the donor in all but the head bias, the recipient's; p=0 is the identity.
     """
     if recipient.arch_id != donor.arch_id:
         raise ArchMismatch("transplant needs identical architectures")
     if not 0.0 <= p <= 1.0:
         raise InvalidArg("p must be in [0, 1]")
-    out = recipient.clone()
-    out.origins = None
     couplings = hidden_couplings(recipient)
-    moves = []  # (coupling, slots, donor_units)
+    slots, placed = [], []  # per layer: the slots, and the donor unit at each position
     for c in couplings:
         t = int(round(p * c.units))
-        if t == 0:
-            continue
-        norms_r = row_l2_norms(recipient.params[c.layer]["weight"],
-                               recipient.params[c.layer]["bias"])
-        norms_d = row_l2_norms(donor.params[c.layer]["weight"],
-                               donor.params[c.layer]["bias"])
-        slots = np.sort(np.lexsort((np.arange(c.units), norms_r))[:t])
-        donors = np.sort(np.lexsort((np.arange(c.units), -norms_d))[:t])
-        moves.append((c, slots, donors))
-    for c, slots, donors in moves:  # incoming rows, biases, BN channels
-        dst, src = out.params[c.layer], donor.params[c.layer]
-        dst["weight"][slots] = src["weight"][donors]
-        dst["bias"][slots] = src["bias"][donors]
-        for bi in c.bn_layers:
-            for key in out.params[bi]:
-                out.params[bi][key][slots] = donor.params[bi][key][donors]
-    for c, slots, donors in moves:  # outgoing column blocks or channels in the next layer
-        dst, src = out.params[c.next_layer], donor.params[c.next_layer]
-        dst["weight"][:, _unit_columns(slots, c.block)] = \
-            src["weight"][:, _unit_columns(donors, c.block)]
+        norms_r, norms_d = (row_l2_norms(n.params[c.layer]["weight"], n.params[c.layer]["bias"])
+                            for n in (recipient, donor))
+        slots.append(np.sort(_ranked_order(-norms_r, None)[:t]))
+        placed.append(np.arange(c.units))
+        placed[-1][slots[-1]] = np.sort(_ranked_order(norms_d, None)[:t])
+    aligned = gather_units([donor], couplings, placed)
+    out = recipient.clone()
+    out.origins = None
+    for c, s in zip(couplings, slots):
+        for i in (c.layer, *c.bn_layers):
+            for key, v in out.params[i].items():
+                v[s] = aligned.params[i][key][s]
+        cols, nxt = _unit_columns(s, c.block), c.next_layer
+        out.params[nxt]["weight"][:, cols] = aligned.params[nxt]["weight"][:, cols]
     return out
 
 

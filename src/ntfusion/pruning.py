@@ -1,7 +1,7 @@
-"""The members' layer-wise concatenation and structured unit selection on it:
-rank units by L2 norm and rebuild a genuinely smaller network, and reorder
-units, all through one coupled gather that moves each unit's row/filter,
-bias, BN channel, and downstream input slice together.
+"""The members' layer-wise concatenation and the unit operations on it:
+pruning, reordering and placement (`fusion.transplant_fraction`). Each ranks
+units with `_ranked_order`, if it ranks, and moves them through `gather_units`,
+which moves a unit's row/filter, bias, BN channel and downstream inputs together.
 
 The norm rule: a hidden unit's squared norm adds up, in ascending member
 (origin label) order, the sums of squares of the slices of its incoming row
@@ -73,6 +73,7 @@ def _keep_indices(policy: KeepPolicy, pos: int, layer: int, norms: np.ndarray,
     """Kept (sorted ascending) unit indices of one hidden layer, the
     coupling at position `pos`, from its unit norms and origin labels."""
     units = len(norms)
+    order = _ranked_order(norms, origins)
     if policy.mode == "per_member":
         if origins is None:
             raise InvalidArg("per-member quotas need origin labels (fuse first)")
@@ -80,12 +81,11 @@ def _keep_indices(policy: KeepPolicy, pos: int, layer: int, norms: np.ndarray,
             raise InvalidArg("one quota per ensemble member required")
         chosen = []
         for j, quota in enumerate(policy.quotas):
-            mine = np.flatnonzero(origins == j)
+            mine = order[origins[order] == j]  # member j's units, ranked
             if quota > len(mine):
                 raise InvalidArg(f"quota {quota} exceeds member {j} width {len(mine)}")
-            order = mine[np.lexsort((mine, -norms[mine].astype(np.float64)))]
-            chosen.append(order[:quota])
-        keep_idx = np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=np.int64)
+            chosen.append(mine[:quota])
+        keep_idx = np.sort(np.concatenate(chosen))
     else:
         if policy.mode == "sparsity":
             keep = max(1, units - math.floor(policy.value * units))
@@ -95,7 +95,7 @@ def _keep_indices(policy: KeepPolicy, pos: int, layer: int, norms: np.ndarray,
                 raise InvalidArg(f"keep count {keep} exceeds layer width {units}")
         if keep < 1:
             raise EmptyLayer(f"layer {layer} would keep {keep} units")
-        keep_idx = np.sort(_ranked_order(norms, origins)[:keep])
+        keep_idx = np.sort(order[:keep])
     if len(keep_idx) < 1:
         raise EmptyLayer(f"layer {layer} would be emptied")
     return keep_idx
@@ -158,10 +158,10 @@ def gather_units(sources: Sequence[Network], couplings: Sequence[LayerCoupling],
     `kept[pos]` holds the concatenation ids j*m + u of the units kept in
     `couplings[pos]`, where m is the member width. The ids must be grouped by
     member j in member order, in any order within a member; the output holds
-    each member's units in the order given. With one source this is
-    structured pruning (sorted ids) or a reordering (a permutation) of that
-    network. All output tensors are fresh arrays; origin labels are left to
-    the caller.
+    each member's units in the order given. With one source, `kept` may be any
+    index list, repeats included: structured pruning (sorted), a reordering (a
+    permutation) or a placement (any other list). All output tensors are fresh
+    arrays; origin labels are left to the caller.
     """
     k = len(sources)
     rows: dict[int, list] = {}  # unit layer -> per-member (out slice, unit ids)

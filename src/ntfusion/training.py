@@ -33,7 +33,6 @@ class TrainConfig:
     momentum: float = 0.9
     schedule: Optional[StepDecay] = None
     batch: BatchPlan = BatchPlan(batch_size=256)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.lr <= 0:
@@ -49,7 +48,7 @@ class TrainConfig:
         return self.lr * self.schedule.factor ** (epoch // self.schedule.period)
 
     def reseeded(self, seed: int) -> "TrainConfig":
-        return replace(self, seed=seed, batch=replace(self.batch, shuffle_seed=seed))
+        return replace(self, batch=replace(self.batch, shuffle_seed=seed))
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,8 @@ def evaluate(net: Network, ds: Dataset) -> dict[str, float]:
     correct = 0
     loss_sum = 0.0
     n = len(ds)
+    if n == 0:
+        raise InvalidArg("cannot evaluate on an empty dataset")
     for start in range(0, n, _EVAL_ROWS):
         x = ds.features[start : start + _EVAL_ROWS]
         y = ds.labels[start : start + _EVAL_ROWS]
@@ -156,14 +157,16 @@ def average_logits(nets, x: Array) -> Array:
 
 
 def ensemble_logits(nets, ds: Dataset) -> Array:
-    """`average_logits` of every row of `ds`, _EVAL_ROWS rows per forward; a
-    forward that overflows raises NonFiniteLoss."""
+    """`average_logits` of every row of `ds`, _EVAL_ROWS rows per forward. An
+    empty dataset raises InvalidArg, a forward that overflows NonFiniteLoss."""
+    if len(ds) == 0:
+        raise InvalidArg("cannot evaluate on an empty dataset")
     try:
         chunks = [average_logits(nets, ds.features[s : s + _EVAL_ROWS])
                   for s in range(0, len(ds), _EVAL_ROWS)]
     except NonFiniteTensor as exc:
         raise NonFiniteLoss(f"non-finite ensemble logits ({exc})") from exc
-    return np.concatenate(chunks) if chunks else np.empty((0, 0), np.float32)
+    return np.concatenate(chunks)
 
 
 def distill(student: Network, teacher_logits: Array, train_ds: Dataset, test_ds: Dataset,

@@ -547,6 +547,52 @@ def align_average(a, b):
     return vanilla_average(EnsembleBundle([a, aligned]))
 
 
+def transplant_fraction(recipient, donor, p):
+    """`fusion.transplant_fraction` entry by entry. Per hidden layer the
+    weakest round(p*N) recipient units are slots and the strongest round(p*N)
+    donor units move in, both paired in ascending index order (stable sorts:
+    ties by index). A weight whose row unit or input unit is a slot comes from
+    the donor, at the donor unit placed in each slot and at the same position
+    otherwise; every other weight is the recipient's. Biases and BN channels
+    follow their slot."""
+    couplings = hidden_couplings(recipient)
+    place = {}  # unit layer -> {slot: donor unit}
+    for c in couplings:
+        t = int(round(p * c.units))
+        norms_r = row_l2_norms(recipient.params[c.layer]["weight"],
+                               recipient.params[c.layer]["bias"])
+        norms_d = row_l2_norms(donor.params[c.layer]["weight"], donor.params[c.layer]["bias"])
+        slots = sorted(np.argsort(norms_r, kind="stable")[:t].tolist())
+        donors = sorted(np.argsort(-norms_d, kind="stable")[:t].tolist())
+        place[c.layer] = dict(zip(slots, donors))
+    fed_by = {c.next_layer: c for c in couplings}
+    out = recipient.clone()
+    out.origins = None
+    for i, params in enumerate(out.params):
+        if "weight" not in params or out.specs[i].kind is LayerKind.BATCHNORM2D:
+            continue
+        rows = place.get(i, {})
+        feed = fed_by.get(i)
+        cols = place[feed.layer] if feed is not None else {}
+        block = feed.block if feed is not None else 1
+        w, src = params["weight"], donor.params[i]["weight"]
+        for r in range(w.shape[0]):
+            for q in range(w.shape[1]):
+                unit, offset = divmod(q, block)
+                if unit in cols:
+                    w[r, q] = src[rows.get(r, r), cols[unit] * block + offset]
+                elif r in rows:
+                    w[r, q] = src[rows[r], q]
+        for r, d in rows.items():
+            params["bias"][r] = donor.params[i]["bias"][d]
+    for c in couplings:
+        for bi in c.bn_layers:
+            for key, v in out.params[bi].items():
+                for slot, d in place[c.layer].items():
+                    v[slot] = donor.params[bi][key][d]
+    return out
+
+
 def distill(student, teachers, train_ds, test_ds, cfg, kd):
     """`training.distill` with every teacher run on every batch of every
     epoch: the per-batch path the teacher-logit cache replaced."""

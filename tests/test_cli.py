@@ -11,6 +11,7 @@ from ntfusion import cli, experiments
 from ntfusion import network as nw
 from ntfusion.checkpoint import load_checkpoint, save_checkpoint
 from ntfusion.cli import cli_dispatch
+from ntfusion.experiments import build_arch
 from ntfusion.fusion import concat_fuse
 from ntfusion.tensor import RngStream
 from oracles import assert_same_network
@@ -278,6 +279,11 @@ REFUSED_BEFORE_TRAINING = [
      "plan": {"method": "nt"}},
     {"experiment": "sweep", "axis": "sparsity", "values": [0.5], "plan": {"sparsity": 0.3}},
     {"experiment": "sweep", "axis": "sparsity", "values": [0.5], "plan": {"method": "nt"}},
+    # Seeds every run overwrites with its own stream's seed.
+    {"train": {"epochs": 1, "seed": 3}},
+    {"train": {"epochs": 1, "batch": {"shuffle_seed": 3}}},
+    {"plan": {"finetune": {"epochs": 1, "seed": 3}}},
+    {"plan": {"finetune": {"epochs": 1, "batch": {"batch_size": 8, "shuffle_seed": 3}}}},
 ]
 ROW = {"experiment": "e", "method": "nt", "seed": 1, "epoch": 0, "metric": "m", "value": 0.5}
 BAD_REPORTS = {
@@ -396,6 +402,43 @@ class TestBadSpec:
         del doc["dataset"]
         (workdir / "train.json").write_text(json.dumps(doc))
         assert run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_train_block_seed_exits_2(self, workdir, capsys):
+        """`ntfuse train` reads the top-level seed; one in `train` is refused."""
+        doc = json.loads((workdir / "train.json").read_text())
+        doc["train"]["seed"] = 3
+        (workdir / "train.json").write_text(json.dumps(doc))
+        assert run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (workdir / "a.ckpt").exists()
+
+    def empty_idx(self, tmp_path):
+        """A dataset descriptor whose IDX files hold 0 images of 4x4."""
+        images, labels = write_idx_pair(tmp_path, np.zeros((0, 4, 4), np.uint8), [])
+        return {"kind": "idx", "num_classes": 3, "train_images": str(images),
+                "train_labels": str(labels), "test_images": str(images),
+                "test_labels": str(labels)}
+
+    def test_empty_idx_exits_2(self, workdir, capsys):
+        doc = json.loads((workdir / "train.json").read_text())
+        doc["dataset"] = self.empty_idx(workdir)
+        doc["arch"]["in_features"] = 16
+        (workdir / "train.json").write_text(json.dumps(doc))
+        assert run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        save_checkpoint(nw.init_network(build_arch(doc["arch"]), RngStream(0, "init")),
+                        workdir / "a.ckpt")
+        assert run(["eval", "--in", workdir / "a.ckpt", "--data", json.dumps(doc["dataset"])]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_eval_on_an_empty_split_exits_2(self, workdir, capsys):
+        """One blob row: the test split takes it and the train split is empty."""
+        assert run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"]) == 0
+        capsys.readouterr()
+        data = {"kind": "blobs", "n": 1, "classes": 1, "dim": 4, "spread": 0.5, "seed": 5}
+        assert run(["eval", "--in", workdir / "a.ckpt", "--data", json.dumps(data),
+                    "--split", "train"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def idx_spec(self, tmp_path, **limits):

@@ -64,6 +64,11 @@ class TestLoadIdx:
         with pytest.raises(CountMismatch):
             load_idx(img, lab)
 
+    def test_zero_images_refused(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((0, 2, 2), np.uint8), [])
+        with pytest.raises(InvalidArg, match="no images"):
+            load_idx(img, lab)
+
     def test_round_trip_semantics(self, tmp_path):
         raw = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
         img, lab = write_idx_pair(tmp_path, raw, [3, 7])

@@ -290,6 +290,18 @@ class TestTransplantFraction:
         with pytest.raises(InvalidArg):
             transplant_fraction(a, a.clone(), 1.5)
 
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("arch", ["mlp-3-hidden", "conv57"])
+    def test_matches_per_entry_oracle(self, arch, p):
+        """On nets with consecutive hidden layers a weight between two
+        transplanted units is the donor's weight between the donor units
+        placed there, byte for byte as the per-entry oracle builds it."""
+        specs = {"mlp-3-hidden": lambda: mlp_specs([5, 8, 6, 7, 3]),
+                 "conv57": conv57_specs}[arch]()
+        recipient, donor = make_members(specs, 2, 38, randomize_bn=True).members
+        oracles.assert_same_network(transplant_fraction(recipient, donor, p),
+                                    oracles.transplant_fraction(recipient, donor, p))
+
 
 def pairwise_nt_oracle(a, b, n_keep):
     """Independent simulation of concat + prune-to-width for one-hidden-layer

@@ -5,7 +5,8 @@ import pytest
 
 from ntfusion import network as nw, training
 from ntfusion.data import BatchPlan, synth_blobs, synth_shapes, train_test_split
-from ntfusion.errors import NonFiniteLoss, ShapeMismatch
+from ntfusion.errors import InvalidArg, NonFiniteLoss, ShapeMismatch
+from ntfusion.experiments import ensemble_accuracy
 from ntfusion.losses import cross_entropy, kd as kd_loss_and_grad
 from ntfusion.network import Network, init_network
 from ntfusion.tensor import RngStream
@@ -157,6 +158,14 @@ class TestEvaluate:
             loss_sum += cross_entropy(logits, ds.labels[i : i + 1])[0]
         assert got["accuracy"] == pytest.approx(correct / len(ds))
         assert got["mean_loss"] == pytest.approx(loss_sum / len(ds), rel=1e-6)
+
+    def test_empty_dataset_refused(self):
+        net = mlp([2, 3])
+        empty = synth_blobs(10, 3, 2, 1.0, seed=64).subset(np.arange(0))
+        with pytest.raises(InvalidArg, match="empty"):
+            evaluate(net, empty)
+        with pytest.raises(InvalidArg, match="empty"):
+            ensemble_accuracy([net, net], empty)
 
 
 class TestKdLoss:

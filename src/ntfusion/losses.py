@@ -19,30 +19,29 @@ def log_softmax(logits: Array) -> Array:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(logits: Array) -> Array:
-    return np.exp(log_softmax(logits))
-
-
-def cross_entropy_per_sample(logits: Array, labels) -> Array:
+def _log_probs(logits: Array, labels) -> tuple[Array, Array, np.ndarray]:
+    """(log_softmax(logits), per-sample cross-entropy, labels as int64)."""
     logits = as_f32(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeMismatch(f"logits {logits.shape} vs labels {labels.shape}")
     logp = log_softmax(logits)
     try:
-        return -logp[np.arange(len(labels)), labels]
+        return logp, -logp[np.arange(len(labels)), labels], labels
     except IndexError as exc:
         raise ShapeMismatch(f"labels reach class {labels.max()}, logits have "
                             f"{logits.shape[1]} columns") from exc
 
 
+def cross_entropy_per_sample(logits: Array, labels) -> Array:
+    return _log_probs(logits, labels)[1]
+
+
 def cross_entropy(logits: Array, labels) -> tuple[float, Array]:
     """Mean cross-entropy over the batch and its gradient w.r.t. logits."""
-    logits = as_f32(logits)
-    labels = np.asarray(labels, dtype=np.int64)
-    per = cross_entropy_per_sample(logits, labels)
+    logp, per, labels = _log_probs(logits, labels)
     loss = float(per.mean())
-    grad = softmax(logits)
+    grad = np.exp(logp)
     grad[np.arange(len(labels)), labels] -= 1.0
     grad /= len(labels)
     return loss, grad.astype(np.float32)
@@ -66,9 +65,9 @@ def kd(student_logits: Array, teacher_logits: Array, labels, temperature: float,
         return hard_loss, hard_grad * np.float32(hard_weight)
     t = float(temperature)
     batch = student_logits.shape[0]
-    p = softmax(teacher_logits / np.float32(t))
     log_q = log_softmax(student_logits / np.float32(t))
     log_p = log_softmax(teacher_logits / np.float32(t))
+    p = np.exp(log_p)
     kl_per = (p * (log_p - log_q)).sum(axis=-1)
     soft_loss = t ** 2 * float(kl_per.mean())
     soft_grad = (t / batch) * (np.exp(log_q) - p)

@@ -1,9 +1,11 @@
 """Float32 array primitives: matmul, 2-D convolution, row norms, seeded RNG.
 
-Arrays are plain C-contiguous ``numpy.float32`` ndarrays (row-major flat
-storage). Public ops validate shapes, run with a fixed reduction order for a
-given build, and reject non-finite results at the boundary so downstream
-modules can assume clean values.
+Arrays are plain ``numpy.float32`` ndarrays. Ops return C-contiguous
+(row-major) arrays; `matmul` also reads F-contiguous operands, such as the
+transpose of a C-contiguous array, in place. Public ops validate shapes, run
+with a fixed reduction order for a given build and input layout, and reject
+non-finite results at the boundary so downstream modules can assume clean
+values.
 """
 
 from __future__ import annotations
@@ -28,10 +30,29 @@ def _checked(out: Array, op: str) -> Array:
     return out
 
 
+def _blas_operand(x) -> Array:
+    """x itself if it is a C- or F-contiguous float32 array, else as_f32(x)."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float32 and (
+            x.flags.c_contiguous or x.flags.f_contiguous):
+        return x
+    return as_f32(x)
+
+
 def matmul(a, b) -> Array:
-    """Matrix product of two 2-D float32 arrays."""
-    a = as_f32(a)
-    b = as_f32(b)
+    """Matrix product of two 2-D float32 arrays.
+
+    A C- or F-contiguous float32 operand goes to sgemm as it is: the
+    transpose of a C-contiguous array runs as a transpose flag, not a copy.
+    Any other operand (another dtype, a list, a strided view) is first copied
+    to a C-contiguous float32 array. The transpose flag changes the kernel's
+    summation order, so a product with a transposed view agrees with the
+    product of its C-contiguous copy within rel_error <= 1e-5 (the max
+    absolute difference over the larger of the two results' max magnitudes,
+    as in tests/oracles.py), not bit for bit. For one build and one operand
+    layout the result is deterministic.
+    """
+    a = _blas_operand(a)
+    b = _blas_operand(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeMismatch(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:

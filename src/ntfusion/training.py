@@ -105,7 +105,12 @@ def evaluate(net: Network, ds: Dataset) -> dict[str, float]:
 def _fit(net: Network, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
          step) -> tuple[Network, History]:
     """The SGD loop of `train` and `distill`, on a clone of `net`:
-    `step(net, bx, by, rows)` gives one batch's (loss, grads)."""
+    `step(net, bx, by, rows)` gives one batch's (loss, grads), and the loop
+    scales those gradient buffers in place. A training set that gives no
+    batch raises InvalidArg."""
+    n, plan = len(train_ds), cfg.batch
+    if n == 0 or (plan.drop_last and n < plan.batch_size):
+        raise InvalidArg(f"a training set of {n} rows gives no batch of {plan.batch_size}")
     net = net.clone()
     velocity = [{k: np.zeros_like(p[k]) for k in ("weight", "bias") if k in p}
                 for p in net.params]
@@ -114,8 +119,8 @@ def _fit(net: Network, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         lr = np.float32(cfg.lr_at(epoch))
         batch_losses = []
-        rows = _batch_rows(len(train_ds), cfg.batch, epoch)
-        for bi, ((bx, by), idx) in enumerate(zip(batches(train_ds, cfg.batch, epoch), rows)):
+        rows = _batch_rows(n, plan, epoch)
+        for bi, ((bx, by), idx) in enumerate(zip(batches(train_ds, plan, epoch), rows)):
             try:
                 value, grads = step(net, bx, by, idx)
             except NonFiniteTensor as exc:
@@ -125,13 +130,14 @@ def _fit(net: Network, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
             batch_losses.append(value)
             for p, v, g in zip(net.params, velocity, grads):
                 for key in g:
+                    g[key] *= lr
                     v[key] *= momentum
-                    v[key] -= lr * g[key]
+                    v[key] -= g[key]
                     p[key] += v[key]
         metrics = evaluate(net, test_ds)
         history.records.append(EpochRecord(
             epoch=epoch,
-            train_loss=float(np.mean(batch_losses)) if batch_losses else float("nan"),
+            train_loss=float(np.mean(batch_losses)),
             test_loss=metrics["mean_loss"],
             test_accuracy=metrics["accuracy"],
         ))

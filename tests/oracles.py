@@ -10,11 +10,11 @@ from scipy.optimize import linear_sum_assignment
 
 import math
 
-from ntfusion import layers, network, training
+from ntfusion import layers, losses, network, training
 from ntfusion.errors import EmptyLayer, InvalidArg
 from ntfusion.fusion import EnsembleBundle, vanilla_average
 from ntfusion.layers import BN_EPS, BN_MOMENTUM
-from ntfusion.losses import cross_entropy, kd
+from ntfusion.losses import log_softmax
 from ntfusion.network import (
     LayerKind,
     LayerSpec,
@@ -24,7 +24,7 @@ from ntfusion.network import (
     hidden_couplings,
 )
 from ntfusion.pruning import KeepPolicy
-from ntfusion.tensor import Array, _im2col, conv2d, row_l2_norms
+from ntfusion.tensor import Array, _im2col, conv2d, matmul, row_l2_norms
 
 
 def rel_error(a, b):
@@ -75,9 +75,9 @@ def conv2d_oracle(x, kernel, stride, padding):
 def loss_of(net, x, y, loss="cross_entropy", teacher_logits=None, kd_cfg=None):
     logits = network.forward(net, x, "train")
     if loss == "cross_entropy":
-        return cross_entropy(logits, y)[0]
-    return kd(logits, teacher_logits, y, kd_cfg.temperature,
-              kd_cfg.soft_weight, kd_cfg.hard_weight)[0]
+        return losses.cross_entropy(logits, y)[0]
+    return losses.kd(logits, teacher_logits, y, kd_cfg.temperature,
+                     kd_cfg.soft_weight, kd_cfg.hard_weight)[0]
 
 
 def fd_gradients(net, x, y, eps=1e-3, loss="cross_entropy", teacher_logits=None,
@@ -145,7 +145,23 @@ def check_gradients(net, x, y, tol=1e-3, eps=1e-3, loss="cross_entropy",
 # batchnorm takes np.var and fresh buffers, relu multiplies into a new
 # array, maxpool routes through argmax (first index wins ties) with
 # take_along_axis / put_along_axis, and `backprop` computes every layer's
-# input gradient, the first layer's included.
+# input gradient, the first layer's included. The linear kernels are the
+# exception: they copy w.T and dout.T to C order before the GEMM, and the
+# fast kernels, which pass the transposed views, match them within
+# rel_error <= 1e-5.
+
+
+def linear_forward(x: Array, w: Array, b: Array):
+    out = matmul(x, np.ascontiguousarray(w.T)) + b
+    return out, (x, w)
+
+
+def linear_backward(dout: Array, cache):
+    x, w = cache
+    dx = matmul(dout, w)
+    dw = matmul(np.ascontiguousarray(dout.T), x)
+    db = dout.sum(axis=0)
+    return dx, dw, db
 
 
 def _col2im(cols: Array, x_shape: tuple, kh: int, kw: int, stride: int, padding: int) -> Array:
@@ -274,6 +290,46 @@ def backprop(net: Network, caches: list, dlogits: Array) -> list[dict[str, Array
         else:
             dx = layers.relu_backward(dx, caches[i])
     return grads
+
+
+# The losses as they were before each computed one log_softmax per operand:
+# cross_entropy took the softmax for its gradient from a second log_softmax,
+# and kd took both softmax(teacher / T) and log_softmax(teacher / T). The
+# losses in `ntfusion.losses` must match these bit for bit.
+
+
+def _softmax(logits):
+    return np.exp(log_softmax(logits))
+
+
+def cross_entropy(logits, labels):
+    logits = np.ascontiguousarray(logits, dtype=np.float32)
+    labels = np.asarray(labels, dtype=np.int64)
+    per = -log_softmax(logits)[np.arange(len(labels)), labels]
+    loss = float(per.mean())
+    grad = _softmax(logits)
+    grad[np.arange(len(labels)), labels] -= 1.0
+    grad /= len(labels)
+    return loss, grad.astype(np.float32)
+
+
+def kd(student_logits, teacher_logits, labels, temperature, soft_weight, hard_weight):
+    student_logits = np.ascontiguousarray(student_logits, dtype=np.float32)
+    teacher_logits = np.ascontiguousarray(teacher_logits, dtype=np.float32)
+    hard_loss, hard_grad = cross_entropy(student_logits, labels)
+    if soft_weight == 0.0:
+        return hard_loss, hard_grad * np.float32(hard_weight)
+    t = float(temperature)
+    batch = student_logits.shape[0]
+    p = _softmax(teacher_logits / np.float32(t))
+    log_q = log_softmax(student_logits / np.float32(t))
+    log_p = log_softmax(teacher_logits / np.float32(t))
+    kl_per = (p * (log_p - log_q)).sum(axis=-1)
+    soft_loss = t ** 2 * float(kl_per.mean())
+    soft_grad = (t / batch) * (np.exp(log_q) - p)
+    loss = soft_weight * soft_loss + hard_weight * hard_loss
+    grad = (soft_weight * soft_grad).astype(np.float32) + np.float32(hard_weight) * hard_grad
+    return loss, grad
 
 
 # The layer-wise concatenation, structured pruning and pairwise NT as they

@@ -441,6 +441,16 @@ class TestBadSpec:
                     "--split", "train"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_train_on_an_empty_split_exits_2(self, workdir, capsys):
+        """One blob row: the test split takes it, and no epoch has a batch."""
+        doc = json.loads((workdir / "train.json").read_text())
+        doc["dataset"] = {"kind": "blobs", "n": 1, "classes": 1, "dim": 4, "spread": 0.5,
+                          "seed": 5}
+        (workdir / "train.json").write_text(json.dumps(doc))
+        assert run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (workdir / "a.ckpt").exists()
+
     def idx_spec(self, tmp_path, **limits):
         """An MLP pipeline on hand-built IDX files: 20 train rows, 8 test rows."""
         rng = np.random.default_rng(0)

@@ -38,6 +38,19 @@ class TestMatmul:
         with pytest.raises(ShapeMismatch):
             matmul(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
 
+    def test_strided_operands_match_their_contiguous_copies(self):
+        """Operands neither C- nor F-contiguous give the bits of the product
+        of their C-contiguous copies."""
+        rng = np.random.default_rng(13)
+        big = rng.standard_normal((64, 96)).astype(np.float32)
+        other = rng.standard_normal((96, 48)).astype(np.float32)
+        cases = [(big[:, ::2], other[::2]), (big[::2, ::3], other[::3, ::2]),
+                 (big[::2, ::2].T, big[:32, :16]), (other[:32, :16], big[:16, ::3])]
+        for a, b in cases:
+            assert not (a.flags.c_contiguous or a.flags.f_contiguous)
+            want = matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
+            np.testing.assert_array_equal(matmul(a, b), want)
+
     def test_non_finite_rejected(self):
         a = np.array([[np.float32(3e38)]], dtype=np.float32)
         with pytest.raises(NonFiniteTensor):

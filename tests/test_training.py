@@ -20,6 +20,7 @@ from ntfusion.training import (
     train,
 )
 
+import oracles
 from oracles import assert_same_network, check_gradients, distill as distill_oracle, rel_error
 
 
@@ -118,6 +119,19 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, lr=0.8, schedule=StepDecay(period=2, factor=0.5))
         assert [cfg.lr_at(e) for e in range(5)] == [0.8, 0.8, 0.4, 0.4, 0.2]
 
+    @pytest.mark.parametrize("n,plan", [(0, BatchPlan(batch_size=4)),
+                                        (3, BatchPlan(batch_size=4, drop_last=True))])
+    def test_no_batch_refused(self, n, plan):
+        """A training set that yields no batch would run epochs of nothing."""
+        train_ds, test_ds = blob_task()
+        net = mlp([2, 8, 3], seed=1)
+        cfg = TrainConfig(epochs=1, lr=0.1, batch=plan)
+        small = train_ds.subset(np.arange(n))
+        with pytest.raises(InvalidArg, match="no batch"):
+            train(net, small, test_ds, cfg)
+        with pytest.raises(InvalidArg, match="no batch"):
+            distill(net, np.zeros((n, 3), np.float32), small, test_ds, cfg, KdConfig(2.0, 1.0))
+
     def test_divergence_raises_nonfinite(self):
         train_ds, test_ds = blob_task(seed=51)
         net = mlp([2, 8, 3], seed=6)
@@ -200,6 +214,26 @@ class TestKdLoss:
         kd = KdConfig(temperature=3.0, soft_weight=0.3)
         assert kd.hard_weight == pytest.approx(0.7)
         check_gradients(net, x, y, loss="kd", teacher_logits=teacher_logits, kd_cfg=kd)
+
+
+class TestLossesMatchOracles:
+    """One log_softmax per operand gives the bits of the formulas that took
+    a second one (oracles.cross_entropy and oracles.kd)."""
+
+    @pytest.mark.parametrize("batch,classes", [(1, 2), (6, 4), (64, 10), (256, 16)])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+    def test_cross_entropy_and_kd_bitwise(self, batch, classes, scale):
+        rng = np.random.default_rng(batch * classes)
+        student = (scale * rng.standard_normal((batch, classes))).astype(np.float32)
+        teacher = (scale * rng.standard_normal((batch, classes))).astype(np.float32)
+        labels = rng.integers(0, classes, size=batch)
+        got, want = cross_entropy(student, labels), oracles.cross_entropy(student, labels)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        for t, soft in [(1.0, 1.0), (2.0, 0.5), (4.0, 0.3), (3.0, 0.0)]:
+            args = (student, teacher, labels, t, soft, 1.0 - soft)
+            got, want = kd_loss_and_grad(*args), oracles.kd(*args)
+            assert got[0] == want[0]
+            assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
 
 
 class TestDistill:

@@ -73,6 +73,10 @@ CLAIMS = {
     "nt_beats_avg_after_3_epochs": ("compare.json", lambda r: ft(r[NT], 3) - ft(r[AVG], 3)),
     "nt_reaches_best_member_before_align":
         ("compare.json", lambda r: reach(r[ALIGN], best(r)) - reach(r[NT], best(r))),
+    "nt_beats_align_immediately":
+        ("compare.json", lambda r: r[NT].metrics["immediate_acc"]
+                                   - r[ALIGN].metrics["immediate_acc"]),
+    "nt_beats_align_after_1_epoch": ("compare.json", lambda r: ft(r[NT], 1) - ft(r[ALIGN], 1)),
     "transplant_half_beats_endpoints":
         ("sweep.json", lambda r: ft(r["sweep/p=0.5"], 3)
                                  - max(ft(r["sweep/p=0"], 3), ft(r["sweep/p=1"], 3))),

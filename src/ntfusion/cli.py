@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Subcommands: train, fuse, prune, eval, distill, experiment, report.
+Subcommands: train, fuse, prune, eval, distill, experiment. `experiment`
+writes report.csv, report.json, timings.json and, when a report has a
+fine-tune series, report.svg into its output directory.
 Exit codes: 0 success, 1 usage error (synopsis on stderr), 2 runtime error.
 """
 
@@ -81,10 +83,6 @@ def _parser() -> _Parser:
     p = sub.add_parser("experiment", help="run a declarative experiment spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("report", help="re-render stored reports")
-    p.add_argument("--in", dest="input", required=True, help="experiment output directory")
-    p.add_argument("--format", required=True, choices=("csv", "json", "svg"))
     return parser
 
 
@@ -182,53 +180,8 @@ def _cmd_experiment(args) -> int:
     reporting.write_csv(reports, out / "report.csv")
     reporting.write_json(reports, out / "report.json")
     reporting.write_timings(reports, out / "timings.json")
+    reporting.write_svg(reports, out / "report.svg")
     print(f"wrote {len(reports)} report(s) to {args.out}")
-    return 0
-
-
-def _reports_from_json(path: Path) -> list[reporting.RunReport]:
-    get = experiments._get
-    doc = _read_json(path)
-    table: dict[tuple[str, str], reporting.RunReport] = {}
-    records: dict[tuple[str, str, int], reporting.SeedRecord] = {}
-    try:
-        for row in get(doc, "rows", list):
-            row = experiments._object(row, "report row")
-            cell = (get(row, "experiment", str), get(row, "method", str))
-            seed, epoch = get(row, "seed", int), get(row, "epoch", int)
-            metric, value = get(row, "metric", str), get(row, "value", float)
-            if epoch < 0:
-                raise BadSpec(f"report row epoch must be >= 0, got {epoch}")
-            table.setdefault(cell, reporting.RunReport(*cell))
-            rkey = (*cell, seed)
-            if rkey not in records:
-                records[rkey] = reporting.SeedRecord(seed=seed)
-                table[cell].records.append(records[rkey])
-            rec = records[rkey]
-            if epoch == 0:
-                rec.metrics[metric] = value
-            else:
-                series = rec.series.setdefault(metric, [])
-                if epoch != len(series) + 1:  # report_rows writes epochs 1, 2, ... in order
-                    raise BadSpec(f"report row epoch {epoch} of {metric!r} should be "
-                                  f"{len(series) + 1}")
-                series.append(value)
-    except BadSpec as exc:
-        raise BadSpec(f"{path}: {exc}") from exc
-    return list(table.values())
-
-
-def _cmd_report(args) -> int:
-    src = Path(args.input) / "report.json"
-    reports = _reports_from_json(src)
-    out = Path(args.input) / f"report.{args.format}"
-    if args.format == "csv":
-        reporting.write_csv(reports, out)
-    elif args.format == "json":
-        reporting.write_json(reports, out)
-    else:
-        reporting.write_svg(reports, out)
-    print(f"wrote {out}")
     return 0
 
 
@@ -239,7 +192,6 @@ _HANDLERS = {
     "eval": _cmd_eval,
     "distill": _cmd_distill,
     "experiment": _cmd_experiment,
-    "report": _cmd_report,
 }
 
 

@@ -184,6 +184,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise InvalidArg("need at least one seed")
+        _distinct(self.seeds, "seeds")
+        if self.k < 2:
+            raise InvalidArg(f"fusion needs k >= 2 members, got k={self.k}")
         if self.plan.finetune is None:
             self.plan = replace(self.plan, finetune=replace(self.train, epochs=30))
 

@@ -48,13 +48,14 @@ def cross_entropy(logits: Array, labels) -> tuple[float, Array]:
 
 
 def kd(student_logits: Array, teacher_logits: Array, labels, temperature: float,
-       soft_weight: float, hard_weight: float) -> tuple[float, Array]:
+       soft_weight: float) -> tuple[float, Array]:
     """Distillation loss: soft KL term at temperature T plus hard cross-entropy.
 
     soft = T^2 * KL(softmax(teacher/T) || softmax(student/T)), batch mean;
-    total = soft_weight * soft + hard_weight * cross_entropy. The T^2 factor
-    keeps soft-target gradient magnitudes comparable across temperatures.
+    total = soft_weight * soft + (1 - soft_weight) * cross_entropy. The T^2
+    factor keeps soft-target gradient magnitudes comparable across temperatures.
     """
+    hard_weight = 1.0 - soft_weight
     student_logits = as_f32(student_logits)
     teacher_logits = as_f32(teacher_logits)
     if student_logits.shape != teacher_logits.shape:

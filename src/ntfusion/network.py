@@ -296,8 +296,7 @@ def backward(net: Network, batch: Array, targets, loss: str = "cross_entropy",
         if teacher_logits is None or kd_cfg is None:
             raise InvalidArg("kd loss needs teacher_logits and kd_cfg")
         value, dlogits = losses.kd(logits, teacher_logits, targets,
-                                   kd_cfg.temperature, kd_cfg.soft_weight,
-                                   kd_cfg.hard_weight)
+                                   kd_cfg.temperature, kd_cfg.soft_weight)
     else:
         raise InvalidArg(f"unknown loss {loss!r}")
     return value, backprop(net, caches, dlogits)

@@ -6,6 +6,9 @@ Metric values are rounded to float32 when recorded and serialized with nine
 significant digits, so emitted files parse back losslessly and reruns with
 fixed seeds are byte-identical. Wall-clock timings are kept out of these
 files (see `write_timings`) precisely to preserve that property.
+
+`ntfuse experiment` is the one writer of these files: it renders each of
+them once, from the reports its run holds, and no command reads them back.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-from .errors import InvalidArg
 
 
 def _f32(value: float) -> float:
@@ -145,14 +146,15 @@ def _mean_series(report: RunReport, metric: str) -> list[float]:
 
 
 def write_svg(reports, path) -> None:
-    """`_SVG_METRIC`-vs-epoch line chart, one polyline per report (seed means)."""
+    """`_SVG_METRIC`-vs-epoch line chart, one polyline per report (seed means);
+    no file when no report has that series."""
     curves = []
     for rep in sorted(reports, key=lambda r: (r.experiment, r.method)):
         ys = _mean_series(rep, _SVG_METRIC)
         if ys:
             curves.append((rep.method, ys))
     if not curves:
-        raise InvalidArg(f"no '{_SVG_METRIC}' series to plot")
+        return
     max_epoch = max(len(ys) for _, ys in curves)
     lo = min(min(ys) for _, ys in curves)
     hi = max(max(ys) for _, ys in curves)

@@ -64,10 +64,6 @@ class KdConfig:
         if not 0.0 <= self.soft_weight <= 1.0:
             raise InvalidArg("soft_weight must be in [0, 1]")
 
-    @property
-    def hard_weight(self) -> float:
-        return 1.0 - self.soft_weight
-
 
 @dataclass
 class EpochRecord:

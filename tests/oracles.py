@@ -76,8 +76,7 @@ def loss_of(net, x, y, loss="cross_entropy", teacher_logits=None, kd_cfg=None):
     logits = network.forward(net, x, "train")
     if loss == "cross_entropy":
         return losses.cross_entropy(logits, y)[0]
-    return losses.kd(logits, teacher_logits, y, kd_cfg.temperature,
-                     kd_cfg.soft_weight, kd_cfg.hard_weight)[0]
+    return losses.kd(logits, teacher_logits, y, kd_cfg.temperature, kd_cfg.soft_weight)[0]
 
 
 def fd_gradients(net, x, y, eps=1e-3, loss="cross_entropy", teacher_logits=None,

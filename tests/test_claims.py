@@ -62,7 +62,7 @@ def test_every_claim_recorded_per_seed(gate_run):
     gate, _, out, _ = gate_run
     claims = json.loads(out.read_text())["claims"]
     assert list(claims) == list(gate.CLAIMS)
-    assert len(claims) == 10
+    assert len(claims) == 12
     for name, claim in claims.items():
         assert claim["spec"] == gate.CLAIMS[name][0]
         assert claim["seeds"] == [1, 2]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ntfusion import cli, experiments
+from ntfusion import cli, experiments, reporting
 from ntfusion import network as nw
 from ntfusion.checkpoint import load_checkpoint, save_checkpoint
 from ntfusion.cli import cli_dispatch
@@ -48,6 +48,11 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["eval", "--nope", "x"]) == 1
+
+    def test_report_is_an_unknown_subcommand(self, tmp_path, capsys):
+        """`ntfuse experiment` writes every report file; no command re-renders them."""
+        assert run(["report", "--in", tmp_path, "--format", "svg"]) == 1
+        assert capsys.readouterr().err.startswith("usage: ntfuse")
 
     def test_fuse_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         specs = [nw.linear(4, 6), nw.relu(), nw.linear(6, 3)]
@@ -201,21 +206,18 @@ class TestExperimentCommand:
                     "--out", workdir / "r1"]) == 0
         assert run(["experiment", "--spec", workdir / "exp.json",
                     "--out", workdir / "r2"]) == 0
-        for name in ("report.csv", "report.json"):
+        for name in ("report.csv", "report.json", "report.svg"):
             assert (workdir / "r1" / name).read_bytes() == \
                 (workdir / "r2" / name).read_bytes()
+        assert ",immediate_acc," in (workdir / "r1" / "report.csv").read_text()
+        assert (workdir / "r1" / "report.svg").read_text().count("<polyline") == 1
 
-    def test_report_rerender_formats(self, workdir, capsys):
-        (workdir / "exp.json").write_text(json.dumps(self.exp_doc()))
-        run(["experiment", "--spec", workdir / "exp.json", "--out", workdir / "r"])
-        assert run(["report", "--in", workdir / "r", "--format", "svg"]) == 0
-        svg = (workdir / "r" / "report.svg").read_text()
-        assert svg.count("<polyline") == 1
-        written = {f: (workdir / "r" / f).read_bytes() for f in ("report.csv", "report.json")}
-        for fmt in ("csv", "json"):  # re-rendered from report.json, byte for byte
-            assert run(["report", "--in", workdir / "r", "--format", fmt]) == 0
-            assert (workdir / "r" / f"report.{fmt}").read_bytes() == written[f"report.{fmt}"]
-        assert ",immediate_acc," in written["report.csv"].decode()
+    def test_no_finetune_series_writes_no_svg(self, workdir, capsys):
+        doc = dict(small_spec(), experiment="multimodel", ks=[2, 3])
+        (workdir / "exp.json").write_text(json.dumps(doc))
+        assert run(["experiment", "--spec", workdir / "exp.json", "--out", workdir / "r"]) == 0
+        assert sorted(p.name for p in (workdir / "r").iterdir()) == \
+            ["report.csv", "report.json", "timings.json"]
 
 
 def small_spec():
@@ -256,8 +258,11 @@ BAD_KIND_KEYS = [("compare", "kd", 5), ("compare", "kd", {"temperature": "hot"})
                  ("multimodel", "ks", ["2"]), ("multimodel", "ks", [])]
 SWEEP_AXES = ["width", "depth", "transplant_fraction", "sparsity"]
 # A repeated value would fill one report cell twice, and an ensemble size
-# below 2 would slice the wrong members: both are refused before training.
+# (`k` or `ks`) below 2 has nothing to fuse or would slice the wrong members:
+# both are refused before training.
 REFUSED_BEFORE_TRAINING = [
+    {"seeds": [1, 1]},
+    {"k": 1}, {"k": 0}, {"k": -2},
     {"experiment": "compare", "methods": ["avg", "avg"]},
     {"experiment": "multimodel", "methods": ["nt", "nt_iterative", "nt"]},
     {"experiment": "multimodel", "ks": [2, 3, 2]},
@@ -285,18 +290,6 @@ REFUSED_BEFORE_TRAINING = [
     {"plan": {"finetune": {"epochs": 1, "seed": 3}}},
     {"plan": {"finetune": {"epochs": 1, "batch": {"batch_size": 8, "shuffle_seed": 3}}}},
 ]
-ROW = {"experiment": "e", "method": "nt", "seed": 1, "epoch": 0, "metric": "m", "value": 0.5}
-BAD_REPORTS = {
-    "not-json": "{rows",
-    "no-rows": "{}",
-    "rows-not-list": json.dumps({"rows": 5}),
-    "row-not-object": json.dumps({"rows": [5]}),
-    "row-without-method": json.dumps({"rows": [{k: v for k, v in ROW.items() if k != "method"}]}),
-    "string-seed": json.dumps({"rows": [dict(ROW, seed="1")]}),
-    "negative-epoch": json.dumps({"rows": [dict(ROW, epoch=-1)]}),
-    "epoch-gap": json.dumps({"rows": [dict(ROW, epoch=1), dict(ROW, epoch=3)]}),
-    "epoch-repeated": json.dumps({"rows": [dict(ROW, epoch=1), dict(ROW, epoch=1)]}),
-}
 
 
 def edited(doc, path, value=None, drop=False):
@@ -390,12 +383,6 @@ class TestBadSpec:
         doc = dict(small_spec(), experiment="sweep", axis=axis, values=["x"])
         code, err = self.run_spec(tmp_path, capsys, doc)
         assert code == 2 and err.startswith("error:")
-
-    @pytest.mark.parametrize("name", sorted(BAD_REPORTS))
-    def test_bad_report_json_exits_2(self, tmp_path, capsys, name):
-        (tmp_path / "report.json").write_text(BAD_REPORTS[name])
-        assert run(["report", "--in", tmp_path, "--format", "csv"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'report.json'}")
 
     def test_train_spec_without_dataset_exits_2(self, workdir, capsys):
         doc = json.loads((workdir / "train.json").read_text())
@@ -509,6 +496,21 @@ def test_timings_hold_one_wall_time_per_cell_and_seed(tmp_path, keys):
     for entries in timings.values():
         assert [e["seed"] for e in entries] == [3, 1]
         assert all(e["wall_seconds"] > 0 for e in entries)
+
+
+@pytest.mark.parametrize("keys", TIMED_KINDS, ids=lambda keys: keys["experiment"])
+def test_svg_is_the_chart_of_the_run_s_reports(tmp_path, keys):
+    """report.svg is `write_svg` of the reports the run held, one curve per
+    cell with a fine-tune series in report.json."""
+    doc = dict(small_spec(), seeds=[3, 1], finetune_epochs=1, **keys)
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert run(["experiment", "--spec", tmp_path / "spec.json", "--out", tmp_path / "r"]) == 0
+    reporting.write_svg(experiments.run_spec(doc), tmp_path / "expected.svg")
+    svg = (tmp_path / "r" / "report.svg").read_text()
+    assert svg == (tmp_path / "expected.svg").read_text()
+    rows = json.loads((tmp_path / "r" / "report.json").read_text())["rows"]
+    curves = {(r["experiment"], r["method"]) for r in rows if r["metric"] == "finetuned_acc"}
+    assert svg.count("<polyline") == len(curves) > 0
 
 
 # Small JSON values only: a spec key set to a large number could ask for a

@@ -115,3 +115,14 @@ class TestSvg:
         write_svg(reports, a)
         write_svg(reports, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reports_without_the_series_draw_no_curve(self, tmp_path):
+        scalar_only = RunReport("demo", "scalar")
+        rec = SeedRecord(seed=1)
+        rec.set_metric("immediate_acc", 0.5)
+        scalar_only.records.append(rec)
+        path = tmp_path / "r.svg"
+        write_svg([scalar_only], path)
+        assert not path.exists()
+        write_svg(sample_reports() + [scalar_only], path)
+        assert path.read_text().count("<polyline") == 2

@@ -194,27 +194,27 @@ class ExperimentSpec:
     def from_json(doc: dict) -> "ExperimentSpec":
         """The spec a parsed JSON document describes."""
         doc = _object(doc, "experiment spec")
-        train_cfg = _train_config(_get(doc, "train", dict, {}))
         plan_doc = _get(doc, "plan", dict, {})
         ft_doc = _get(plan_doc, "finetune", dict, None)
-        finetune = _train_config(ft_doc) if ft_doc else replace(train_cfg, epochs=30)
-        if "finetune_epochs" in doc:
-            finetune = replace(finetune, epochs=_get(doc, "finetune_epochs", int))
         plan = FusionPlan(
             method=_get(plan_doc, "method", str, "nt"),
             sparsity=_get(plan_doc, "sparsity", float, None),
             pipeline=_get(plan_doc, "pipeline", str, "merge_prune_ft"),
-            finetune=finetune,
+            finetune=_train_config(ft_doc) if ft_doc else None,  # None: __post_init__'s default
         )
-        return ExperimentSpec(
+        spec = ExperimentSpec(
             name=_get(doc, "name", str),
             dataset=_get(doc, "dataset", dict),
             arch=_get(doc, "arch", dict),
             k=_get(doc, "k", int, 2),
             seeds=tuple(_list(doc, "seeds", int, [1, 2, 3, 4, 5])),
-            train=train_cfg,
+            train=_train_config(_get(doc, "train", dict, {})),
             plan=plan,
         )
+        if "finetune_epochs" in doc:
+            spec.plan = replace(spec.plan, finetune=replace(
+                spec.plan.finetune, epochs=_get(doc, "finetune_epochs", int)))
+        return spec
 
 
 def _train_config(doc: dict) -> TrainConfig:
@@ -478,12 +478,12 @@ def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
     return _drive(spec, spec.k, [(spec.name, label) for label in labels], cells)
 
 
-# Plan keys a driver never reads, because it picks its own fusion methods or
-# sets the keys itself: a spec that sets one is refused.
-_OWN_FUSION = ("method", "pipeline", "sparsity")
-_UNREAD_PLAN_KEYS = {"multimodel": _OWN_FUSION, "compare": _OWN_FUSION, "failure": _OWN_FUSION,
-                     "transplant_fraction sweep": _OWN_FUSION,
-                     "sparsity sweep": ("method", "sparsity")}
+# Spec keys a driver never reads, because it picks its own fusion methods and
+# member count or sets the keys itself: a spec that sets one is refused.
+_OWN_FUSION = ("plan.method", "plan.pipeline", "plan.sparsity")
+_UNREAD_KEYS = {"multimodel": ("k", *_OWN_FUSION), "compare": _OWN_FUSION,
+                "failure": ("k", *_OWN_FUSION), "transplant_fraction sweep": ("k", *_OWN_FUSION),
+                "sparsity sweep": ("plan.method", "plan.sparsity")}
 
 
 def run_spec(doc: dict) -> list[RunReport]:
@@ -492,14 +492,15 @@ def run_spec(doc: dict) -> list[RunReport]:
     `experiment` picks the driver (default "pipeline"; also "multimodel",
     "sweep", "failure" and "compare"), and the driver reads its own keys:
     `ks` and `methods` (multimodel), `axis` and `values` (sweep), `methods`
-    and `kd` (compare). A `plan` key the driver never reads is refused.
+    and `kd` (compare). A key the driver never reads (`_UNREAD_KEYS`) is refused.
     """
     spec = ExperimentSpec.from_json(doc)
     kind = _get(doc, "experiment", str, "pipeline")
     what = f"{_get(doc, 'axis', str, '').lower()} sweep" if kind == "sweep" else kind
-    unread = [key for key in _UNREAD_PLAN_KEYS.get(what, ()) if key in _get(doc, "plan", dict, {})]
+    given = set(doc) | {f"plan.{key}" for key in _get(doc, "plan", dict, {})}
+    unread = [key for key in _UNREAD_KEYS.get(what, ()) if key in given]
     if unread:
-        raise BadSpec(f"a {what} experiment never reads plan keys {unread}")
+        raise BadSpec(f"a {what} experiment never reads spec keys {unread}")
     if kind == "pipeline":
         return [run_pipeline(spec)]
     if kind == "failure":

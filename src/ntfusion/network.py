@@ -17,7 +17,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from . import layers, losses
+from . import layers
 from .errors import ShapeMismatch, UnsupportedTopology, InvalidArg
 from .tensor import Array, RngStream
 
@@ -92,8 +92,28 @@ def relu() -> LayerSpec:
     return LayerSpec(LayerKind.RELU, ())
 
 
-def check_specs(specs: list[LayerSpec]) -> None:
-    """Validate a sequential chain; raises on anything fusion cannot handle."""
+@dataclass(frozen=True)
+class LayerCoupling:
+    """Structural links of one hidden unit layer, the parts that move together
+    when a unit is transplanted, pruned or gathered: unit i owns row i of
+    `layer`, channel i of each of `bn_layers`, and input columns
+    [i*block, (i+1)*block) of `next_layer`. `block` > 1 only when a Flatten of
+    a conv's channels sits in between; a Conv2D next layer gives block 1.
+    """
+
+    layer: int
+    units: int
+    bn_layers: tuple[int, ...]
+    next_layer: int
+    block: int
+
+
+def check_specs(specs: list[LayerSpec]) -> list[LayerCoupling]:
+    """Validate a sequential chain; raises on anything fusion cannot handle.
+
+    Returns the chain's unit couplings, one per hidden (non-head)
+    Linear/Conv2D layer in order, built in the same walk.
+    """
     if not specs:
         raise UnsupportedTopology("empty layer list")
     for s in specs:
@@ -110,6 +130,8 @@ def check_specs(specs: list[LayerSpec]) -> None:
     domain = "start"  # start -> channels (conv side) -> flat (after flatten / linear)
     channels = None
     features = None
+    couplings: list[LayerCoupling] = []
+    unit_layer, bn = None, []  # the open coupling
     for i, s in enumerate(specs):
         if s.kind is LayerKind.CONV2D:
             cin, cout, kh, kw, stride, padding = s.dims
@@ -125,6 +147,7 @@ def check_specs(specs: list[LayerSpec]) -> None:
                 raise UnsupportedTopology("batchnorm2d requires a preceding conv layer")
             if s.dims[0] != channels:
                 raise ShapeMismatch(f"layer {i}: batchnorm on {s.dims[0]} channels, gets {channels}")
+            bn.append(i)
         elif s.kind is LayerKind.MAXPOOL2D:
             if domain != "channels":
                 raise UnsupportedTopology("maxpool2d requires channel-shaped input")
@@ -147,6 +170,14 @@ def check_specs(specs: list[LayerSpec]) -> None:
                 raise ShapeMismatch(
                     f"layer {i}: {fin} inputs not divisible by {channels} flattened channels")
             domain, features = "flat", fout
+        if s.kind in UNIT_KINDS:
+            if unit_layer is not None:
+                # The checks above leave fan-in == units, or a multiple of the
+                # units when a Flatten of conv channels came in between.
+                units = specs[unit_layer].dims[1]
+                couplings.append(LayerCoupling(unit_layer, units, tuple(bn), i, s.dims[0] // units))
+            unit_layer, bn = i, []
+    return couplings
 
 
 @dataclass
@@ -281,69 +312,17 @@ def backprop(net: Network, caches: list, dlogits: Array) -> list[dict[str, Array
     return grads
 
 
-def backward(net: Network, batch: Array, targets, loss: str = "cross_entropy",
-             mode: Mode = "train", teacher_logits: Optional[Array] = None,
-             kd_cfg=None):
+def backward(net: Network, batch: Array, loss, mode: Mode = "train"):
     """Forward + loss + backprop; returns (loss_value, per-layer grads).
 
-    `loss` is "cross_entropy" or "kd"; the KD variant needs teacher logits
-    and a KdConfig. BN layers see batch statistics when mode is "train".
+    `loss(logits)` gives (value, dlogits): a loss of `losses` bound to the
+    batch's targets. BN layers see batch statistics when mode is "train".
     """
     logits, caches = forward_cached(net, batch, mode)
-    if loss == "cross_entropy":
-        value, dlogits = losses.cross_entropy(logits, targets)
-    elif loss == "kd":
-        if teacher_logits is None or kd_cfg is None:
-            raise InvalidArg("kd loss needs teacher_logits and kd_cfg")
-        value, dlogits = losses.kd(logits, teacher_logits, targets,
-                                   kd_cfg.temperature, kd_cfg.soft_weight)
-    else:
-        raise InvalidArg(f"unknown loss {loss!r}")
+    value, dlogits = loss(logits)
     return value, backprop(net, caches, dlogits)
-
-
-@dataclass(frozen=True)
-class LayerCoupling:
-    """Structural links of one hidden unit layer.
-
-    mode "columns": next layer is Linear, each unit owns `block` consecutive
-    input columns (block > 1 when a Flatten sits in between). mode "channel":
-    next layer is Conv2D and each unit owns one input channel.
-    """
-
-    layer: int
-    units: int
-    bn_layers: tuple[int, ...]
-    next_layer: int
-    mode: str
-    block: int
 
 
 def hidden_couplings(net: Network) -> list[LayerCoupling]:
     """One coupling per hidden (non-head) Linear/Conv2D layer, in order."""
-    check_specs(net.specs)
-    param_idx = [i for i, s in enumerate(net.specs) if s.kind in UNIT_KINDS]
-    out = []
-    for pos, li in enumerate(param_idx[:-1]):
-        spec = net.specs[li]
-        nxt = param_idx[pos + 1]
-        bn: list[int] = []
-        saw_flatten = False
-        for j in range(li + 1, nxt):
-            if net.specs[j].kind is LayerKind.BATCHNORM2D:
-                bn.append(j)
-            elif net.specs[j].kind is LayerKind.FLATTEN:
-                saw_flatten = True
-        units = spec.dims[1]
-        nspec = net.specs[nxt]
-        if nspec.kind is LayerKind.LINEAR:
-            block = nspec.dims[0] // units if saw_flatten else 1
-            if nspec.dims[0] != units * block:
-                raise ShapeMismatch(
-                    f"layer {nxt}: {nspec.dims[0]} columns not partitioned by {units} units")
-            out.append(LayerCoupling(li, units, tuple(bn), nxt, "columns", block))
-        else:
-            if nspec.dims[0] != units:
-                raise ShapeMismatch(f"layer {nxt}: conv wants {nspec.dims[0]} channels, gets {units}")
-            out.append(LayerCoupling(li, units, tuple(bn), nxt, "channel", 1))
-    return out
+    return check_specs(net.specs)

@@ -132,28 +132,18 @@ _W, _H, _ML, _MR, _MT, _MB = 640, 400, 60, 20, 20, 45
 _SVG_METRIC = "finetuned_acc"
 
 
-def _mean_series(report: RunReport, metric: str) -> list[float]:
-    lengths = [len(r.series.get(metric, [])) for r in report.records]
-    if not lengths or max(lengths) == 0:
-        return []
-    length = max(lengths)
-    out = []
-    for e in range(length):
-        vals = [r.series[metric][e] for r in report.records
-                if len(r.series.get(metric, [])) > e]
-        out.append(float(np.mean(vals)))
-    return out
-
-
 def write_svg(reports, path) -> None:
-    """`_SVG_METRIC`-vs-epoch line chart, one polyline per report (seed means);
-    no file when no report has that series."""
+    """`_SVG_METRIC`-vs-epoch line chart, one polyline per report (the seed
+    means of `RunReport.aggregate`); when no report has that series, no chart,
+    and any earlier file at `path` is removed."""
     curves = []
     for rep in sorted(reports, key=lambda r: (r.experiment, r.method)):
-        ys = _mean_series(rep, _SVG_METRIC)
+        ys = [agg["mean"] for name, agg in rep.aggregate().items()
+              if name.startswith(f"{_SVG_METRIC}[")]  # epochs in order
         if ys:
             curves.append((rep.method, ys))
     if not curves:
+        Path(path).unlink(missing_ok=True)
         return
     max_epoch = max(len(ys) for _, ys in curves)
     lo = min(min(ys) for _, ys in curves)

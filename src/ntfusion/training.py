@@ -1,6 +1,7 @@
 """SGD-with-momentum training, evaluation, and knowledge distillation.
 
-`train` and `distill` share one epoch loop. `distill` reads teacher logits
+`train` and `distill` share one epoch loop and differ only in the loss each
+step hands to `network.backward`: cross-entropy, or KD against teacher logits
 that the caller computes once, with `ensemble_logits`, for any number of runs.
 """
 
@@ -146,7 +147,8 @@ def train(net: Network, train_ds: Dataset, test_ds: Dataset,
     from zero velocity; the input network is not mutated. The test set is
     evaluated after every epoch in eval mode."""
     return _fit(net, train_ds, test_ds, cfg,
-                lambda n, bx, by, rows: network.backward(n, bx, by, loss="cross_entropy"))
+                lambda n, bx, by, rows: network.backward(
+                    n, bx, lambda z: losses.cross_entropy(z, by)))
 
 
 def average_logits(nets, x: Array) -> Array:
@@ -180,5 +182,5 @@ def distill(student: Network, teacher_logits: Array, train_ds: Dataset, test_ds:
     if len(teacher_logits) != len(train_ds):
         raise ShapeMismatch(f"{len(teacher_logits)} teacher rows, {len(train_ds)} training rows")
     return _fit(student, train_ds, test_ds, cfg,
-                lambda n, bx, by, rows: network.backward(
-                    n, bx, by, loss="kd", teacher_logits=teacher_logits[rows], kd_cfg=kd))
+                lambda n, bx, by, rows: network.backward(n, bx, lambda z: losses.kd(
+                    z, teacher_logits[rows], by, kd.temperature, kd.soft_weight)))

@@ -11,11 +11,12 @@ from scipy.optimize import linear_sum_assignment
 import math
 
 from ntfusion import layers, losses, network, training
-from ntfusion.errors import EmptyLayer, InvalidArg
+from ntfusion.errors import EmptyLayer, InvalidArg, ShapeMismatch
 from ntfusion.fusion import EnsembleBundle, vanilla_average
 from ntfusion.layers import BN_EPS, BN_MOMENTUM
 from ntfusion.losses import log_softmax
 from ntfusion.network import (
+    LayerCoupling,
     LayerKind,
     LayerSpec,
     Network,
@@ -72,11 +73,16 @@ def conv2d_oracle(x, kernel, stride, padding):
     return out
 
 
-def loss_of(net, x, y, loss="cross_entropy", teacher_logits=None, kd_cfg=None):
-    logits = network.forward(net, x, "train")
+def loss_fn(y, loss="cross_entropy", teacher_logits=None, kd_cfg=None):
+    """The `network.backward` loss hook that `loss` names, bound to `y`."""
     if loss == "cross_entropy":
-        return losses.cross_entropy(logits, y)[0]
-    return losses.kd(logits, teacher_logits, y, kd_cfg.temperature, kd_cfg.soft_weight)[0]
+        return lambda logits: losses.cross_entropy(logits, y)
+    return lambda logits: losses.kd(logits, teacher_logits, y, kd_cfg.temperature,
+                                    kd_cfg.soft_weight)
+
+
+def loss_of(net, x, y, loss="cross_entropy", teacher_logits=None, kd_cfg=None):
+    return loss_fn(y, loss, teacher_logits, kd_cfg)(network.forward(net, x, "train"))[0]
 
 
 def fd_gradients(net, x, y, eps=1e-3, loss="cross_entropy", teacher_logits=None,
@@ -119,8 +125,7 @@ def check_gradients(net, x, y, tol=1e-3, eps=1e-3, loss="cross_entropy",
     both sides; they are required to sit below a dead-zone threshold instead
     of passing a meaningless relative comparison.
     """
-    _, analytic = network.backward(net, x, y, loss=loss,
-                                   teacher_logits=teacher_logits, kd_cfg=kd_cfg)
+    _, analytic = network.backward(net, x, loss_fn(y, loss, teacher_logits, kd_cfg))
     numeric = fd_gradients(net, x, y, eps, loss, teacher_logits, kd_cfg)
     global_scale = max(
         (float(np.abs(n[key]).max()) for n in numeric for key in n), default=0.0)
@@ -510,7 +515,7 @@ def magnitude_prune(net, policy, include_bias=True):
             out.specs[bi] = LayerSpec(LayerKind.BATCHNORM2D, (len(keep_idx),))
         nxt = out.params[c.next_layer]
         nspec = out.specs[c.next_layer]
-        if c.mode == "columns":
+        if nspec.kind is LayerKind.LINEAR:
             cols = np.concatenate(
                 [np.arange(u * c.block, (u + 1) * c.block) for u in keep_idx])
             nxt["weight"] = np.ascontiguousarray(nxt["weight"][:, cols])
@@ -557,6 +562,38 @@ def fuse_recursive(members):
     return reduce(members)
 
 
+def two_walk_couplings(net):
+    """`hidden_couplings` as it was before `check_specs` built the couplings
+    in its own walk: validate, then walk the chain again from each hidden
+    unit layer to the next."""
+    check_specs(net.specs)
+    param_idx = [i for i, s in enumerate(net.specs) if s.kind in UNIT_KINDS]
+    out = []
+    for pos, li in enumerate(param_idx[:-1]):
+        spec = net.specs[li]
+        nxt = param_idx[pos + 1]
+        bn: list[int] = []
+        saw_flatten = False
+        for j in range(li + 1, nxt):
+            if net.specs[j].kind is LayerKind.BATCHNORM2D:
+                bn.append(j)
+            elif net.specs[j].kind is LayerKind.FLATTEN:
+                saw_flatten = True
+        units = spec.dims[1]
+        nspec = net.specs[nxt]
+        if nspec.kind is LayerKind.LINEAR:
+            block = nspec.dims[0] // units if saw_flatten else 1
+            if nspec.dims[0] != units * block:
+                raise ShapeMismatch(
+                    f"layer {nxt}: {nspec.dims[0]} columns not partitioned by {units} units")
+            out.append(LayerCoupling(li, units, tuple(bn), nxt, block))
+        else:
+            if nspec.dims[0] != units:
+                raise ShapeMismatch(f"layer {nxt}: conv wants {nspec.dims[0]} channels, gets {units}")
+            out.append(LayerCoupling(li, units, tuple(bn), nxt, 1))
+    return out
+
+
 def permute_units(net, layer_index, order):
     """`permute_units` as it was before it became a one-source gather: copy
     the network, then reindex the layer's rows, bias, BN channels and the
@@ -575,7 +612,7 @@ def permute_units(net, layer_index, order):
     for bi in c.bn_layers:
         out.params[bi] = {k: np.ascontiguousarray(v[order]) for k, v in out.params[bi].items()}
     np_ = out.params[c.next_layer]
-    if c.mode == "columns":
+    if net.specs[c.next_layer].kind is LayerKind.LINEAR:
         cols = np.concatenate([np.arange(u * c.block, (u + 1) * c.block) for u in order])
         np_["weight"] = np.ascontiguousarray(np_["weight"][:, cols])
     else:
@@ -655,7 +692,7 @@ def distill(student, teachers, train_ds, test_ds, cfg, kd):
 
     def step(n, bx, by, rows):
         t_logits = training.average_logits(members, bx)
-        return network.backward(n, bx, by, loss="kd", teacher_logits=t_logits, kd_cfg=kd)
+        return network.backward(n, bx, loss_fn(by, "kd", t_logits, kd))
 
     return training._fit(student, train_ds, test_ds, cfg, step)
 

@@ -219,6 +219,14 @@ class TestExperimentCommand:
         assert sorted(p.name for p in (workdir / "r").iterdir()) == \
             ["report.csv", "report.json", "timings.json"]
 
+    def test_rerun_without_finetune_series_removes_the_svg(self, workdir, capsys):
+        """A run with no fine-tune series leaves no earlier run's chart behind."""
+        doc = dict(small_spec(), experiment="multimodel", ks=[2, 3])
+        for epochs in (1, 0):
+            (workdir / "exp.json").write_text(json.dumps(dict(doc, finetune_epochs=epochs)))
+            assert run(["experiment", "--spec", workdir / "exp.json", "--out", workdir / "r"]) == 0
+            assert (workdir / "r" / "report.svg").exists() == (epochs == 1)
+
 
 def small_spec():
     return {
@@ -226,7 +234,7 @@ def small_spec():
         "dataset": {"kind": "blobs", "n": 60, "classes": 3, "dim": 4,
                     "spread": 0.5, "seed": 5},
         "arch": {"type": "mlp", "in_features": 4, "hidden": [8], "classes": 3},
-        "k": 2, "seeds": [1], "train": {"epochs": 1}, "finetune_epochs": 0,
+        "seeds": [1], "train": {"epochs": 1}, "finetune_epochs": 0,
     }
 
 
@@ -284,6 +292,10 @@ REFUSED_BEFORE_TRAINING = [
      "plan": {"method": "nt"}},
     {"experiment": "sweep", "axis": "sparsity", "values": [0.5], "plan": {"sparsity": 0.3}},
     {"experiment": "sweep", "axis": "sparsity", "values": [0.5], "plan": {"method": "nt"}},
+    # A top-level `k` where the kind sets its own member count.
+    {"experiment": "multimodel", "k": 7, "ks": [2]},
+    {"experiment": "failure", "k": 2},
+    {"experiment": "sweep", "axis": "transplant_fraction", "values": [0.5], "k": 2},
     # Seeds every run overwrites with its own stream's seed.
     {"train": {"epochs": 1, "seed": 3}},
     {"train": {"epochs": 1, "batch": {"shuffle_seed": 3}}},

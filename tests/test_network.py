@@ -4,11 +4,14 @@ Gradient correctness is checked against a central finite-difference oracle
 (eps=1e-3, relative tolerance 1e-3 at float32 scale).
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ntfusion import network as nw
-from ntfusion.errors import ShapeMismatch, UnsupportedTopology
+from ntfusion.errors import InvalidArg, ShapeMismatch, UnsupportedTopology
 from ntfusion.losses import cross_entropy, log_softmax
 from ntfusion.layers import flatten_forward
 from ntfusion.network import (
@@ -22,7 +25,7 @@ from ntfusion.pruning import permute_units
 from ntfusion.tensor import RngStream
 from ntfusion.training import KdConfig
 
-from oracles import assert_same_network, check_gradients, rel_error
+from oracles import assert_same_network, check_gradients, loss_fn, rel_error, two_walk_couplings
 
 
 def mlp_specs(dims):
@@ -106,7 +109,7 @@ class TestBackward:
                       [{"weight": np.zeros((3, 3), dtype=np.float32),
                         "bias": np.zeros(3, dtype=np.float32)}])
         x = RngStream(1).normal((1, 3))
-        _, grads = nw.backward(net, x, np.array([1]))
+        _, grads = nw.backward(net, x, lambda z: cross_entropy(z, np.array([1])))
         expect = np.exp(log_softmax(np.zeros((1, 3), dtype=np.float32)))[0]
         expect[1] -= 1.0
         np.testing.assert_allclose(grads[0]["bias"], expect, atol=1e-7)
@@ -149,7 +152,7 @@ class TestBackwardOwnership:
         kept = [a.copy() for a in (x, y, teacher) if a is not None]
         want = net.clone()
         forward(want, x, mode)  # the running-stat update alone
-        nw.backward(net, x, y, loss=loss, mode=mode, teacher_logits=teacher, kd_cfg=kd_cfg)
+        nw.backward(net, x, loss_fn(y, loss, teacher, kd_cfg), mode=mode)
         for a, b in zip((x, y, teacher), kept):
             assert a.tobytes() == b.tobytes()
         assert_same_network(net, want)
@@ -164,8 +167,8 @@ class TestBackwardOwnership:
             net = random_convnet(16)
             x = RngStream(17, "test/x").normal((6, 1, 8, 8))
         y = np.array([0, 1, 2, 3, 0, 1])
-        loss_a, grads_a = nw.backward(net, x, y, mode=mode)
-        loss_b, grads_b = nw.backward(net, x, y, mode=mode)
+        loss_a, grads_a = nw.backward(net, x, lambda z: cross_entropy(z, y), mode=mode)
+        loss_b, grads_b = nw.backward(net, x, lambda z: cross_entropy(z, y), mode=mode)
         assert loss_a == loss_b
         for ga, gb in zip(grads_a, grads_b):
             assert ga.keys() == gb.keys()
@@ -194,6 +197,27 @@ class TestTopology:
         with pytest.raises(ShapeMismatch):
             check_specs([nw.conv(1, 3, 3), nw.flatten(), nw.linear(10, 2)])
 
+    # Every other chain check_specs refuses, with the error class it raises.
+    @pytest.mark.parametrize("specs,error", [
+        ([], UnsupportedTopology),
+        ([nw.linear(-1, 2)], InvalidArg),
+        ([nw.flatten(), nw.relu()], UnsupportedTopology),
+        ([nw.conv(1, 0, 3), nw.flatten(), nw.linear(4, 2)], InvalidArg),
+        ([nw.conv(1, 2, 3), nw.flatten(), nw.conv(2, 2, 3), nw.flatten(), nw.linear(4, 2)],
+         UnsupportedTopology),
+        ([nw.batchnorm(2), nw.linear(2, 2)], UnsupportedTopology),
+        ([nw.conv(1, 2, 3), nw.batchnorm(3), nw.flatten(), nw.linear(4, 2)], ShapeMismatch),
+        ([nw.maxpool(2), nw.linear(2, 2)], UnsupportedTopology),
+        ([nw.conv(1, 2, 3), nw.maxpool(0), nw.flatten(), nw.linear(4, 2)], InvalidArg),
+        ([nw.linear(0, 2)], InvalidArg),
+        ([nw.linear(4, 6), nw.relu(), nw.linear(5, 3)], ShapeMismatch),
+        ([nw.flatten(), nw.linear(4, 6), nw.flatten(), nw.linear(5, 3)], ShapeMismatch),
+        ([nw.conv(1, 3, 3), nw.flatten(), nw.linear(12, 5), nw.linear(6, 2)], ShapeMismatch),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_refused_chain_raises_its_error_class(self, specs, error):
+        with pytest.raises(error):
+            check_specs(specs)
+
 
 class TestHiddenCouplings:
     def test_mlp_unit_count(self):
@@ -220,7 +244,8 @@ class TestHiddenCouplings:
             assert c.units == net.specs[c.layer].dims[1]
             # units * block columns (or one channel each) cover the next layer once
             assert c.units * c.block == net.specs[c.next_layer].dims[0]
-        assert couplings[0].mode == "channel" and couplings[0].bn_layers == (1,)
+        assert net.specs[couplings[0].next_layer].kind is nw.LayerKind.CONV2D
+        assert couplings[0].bn_layers == (1,)
 
     def test_flatten_block_is_channel_major(self):
         # flatten(x)[:, block columns of channel ch] equals x[:, ch] flattened
@@ -234,7 +259,45 @@ class TestHiddenCouplings:
         net = random_convnet(4)
         c = hidden_couplings(net)[1]  # second conv, flattened into the head
         hw = net.specs[-1].dims[0] // net.specs[4].dims[1]
-        assert (c.layer, c.mode, c.block, c.next_layer) == (4, "columns", hw, len(net.specs) - 1)
+        assert (c.layer, net.specs[c.next_layer].kind, c.block, c.next_layer) == \
+            (4, nw.LayerKind.LINEAR, hw, len(net.specs) - 1)
+
+
+@st.composite
+def valid_chains(draw):
+    """A random chain check_specs accepts: a head-only chain; an MLP, with or
+    without a leading Flatten and Flattens between its Linears; or a conv
+    stack, each conv with or without BN and pool, flattened into zero or more
+    hidden Linears and the head."""
+    width = st.integers(1, 6)
+    specs, shape = [], draw(st.sampled_from(["head", "mlp", "conv"]))
+    if shape == "conv":
+        channels = draw(width)
+        for _ in range(draw(st.integers(1, 3))):
+            cout = draw(width)
+            specs.append(nw.conv(channels, cout, draw(st.integers(1, 3))))
+            specs += [nw.batchnorm(cout)] * draw(st.booleans()) + [nw.relu()]
+            specs += [nw.maxpool(draw(st.integers(1, 2)))] * draw(st.booleans())
+            channels = cout
+        specs.append(nw.flatten())
+        features = channels * draw(st.integers(1, 9))  # channels x flattened h*w
+    else:
+        features = draw(width)
+        specs += [nw.flatten()] * draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3)) if shape != "head" else 0):
+        hidden = draw(width)
+        specs += [nw.linear(features, hidden), nw.relu()]
+        specs += [nw.flatten()] * (shape == "mlp" and draw(st.booleans()))
+        features = hidden
+    return specs + [nw.linear(features, draw(width))]
+
+
+class TestSingleWalk:
+    @given(specs=valid_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_two_walk_oracle(self, specs):
+        want = two_walk_couplings(Network(specs, []))  # reads only the specs
+        assert [astuple(c) for c in check_specs(specs)] == [astuple(c) for c in want]
 
 
 class TestPermuteUnits:

@@ -65,7 +65,7 @@ class TestTrain:
                           batch=BatchPlan(batch_size=4, shuffle_seed=0))
         batch = list(__import__("ntfusion.data", fromlist=["batches"]).batches(
             train_ds, cfg.batch, 0))[0]
-        _, grads = nw.backward(net.clone(), batch[0], batch[1])
+        _, grads = nw.backward(net.clone(), batch[0], lambda z: cross_entropy(z, batch[1]))
         trained, _ = train(net, train_ds, test_ds, cfg)
         for li in range(len(net.params)):
             for key in grads[li]:
@@ -84,7 +84,7 @@ class TestTrain:
         velocity = [{k: np.zeros_like(v) for k, v in p.items()} for p in hand.params]
         for epoch in range(2):
             bx, by = list(batches(train_ds, cfg.batch, epoch))[0]
-            _, grads = nw.backward(hand, bx, by)
+            _, grads = nw.backward(hand, bx, lambda z: cross_entropy(z, by))
             for p, v, g in zip(hand.params, velocity, grads):
                 for key in g:
                     v[key] = np.float32(cfg.momentum) * v[key] - np.float32(cfg.lr) * g[key]

@@ -35,7 +35,7 @@ from .fusion import (
     vanilla_average,
 )
 from .network import LayerSpec, Network, init_network
-from .pruning import KeepPolicy, magnitude_prune, prune_concat, prune_to_architecture
+from .pruning import KeepPolicy, magnitude_prune, prune_concat
 from .reporting import RunReport, SeedRecord
 from .tensor import RngStream
 from .training import (KdConfig, StepDecay, TrainConfig, distill, ensemble_logits, evaluate,
@@ -270,25 +270,15 @@ def ensemble_accuracy(members, ds: Dataset) -> float:
     return int((predicted == ds.labels).sum()) / len(ds)
 
 
-def _even_member_quotas(width: int, k: int) -> tuple[int, ...]:
-    base, extra = divmod(width, k)
-    return tuple(base + (1 if j < extra else 0) for j in range(k))
-
-
 def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
                    test_ds: Dataset, seed: int):
     """Run the plan's pipeline; returns (fused net, merged_ft_acc series). The
     series holds one accuracy per epoch of the wide model's mid fine-tune."""
-    reference = bundle.members[0]
     merged_series: list[float] = []
     if plan.method != "nt" or plan.pipeline == "merge_prune_ft":
         fused = fuse(bundle, plan)
     elif plan.pipeline == "prune_merge_ft":
-        member_widths = {c.units for c in nw.hidden_couplings(reference)}
-        if len(member_widths) != 1:
-            raise InvalidArg("prune_merge_ft needs uniform hidden widths")
-        quotas = _even_member_quotas(member_widths.pop(), bundle.k)
-        fused = prune_concat(bundle.members, KeepPolicy.per_member(quotas))
+        fused = prune_concat(bundle.members, KeepPolicy.per_member())
     else:  # merge_ft_prune_ft
         big = concat_fuse(bundle)
         mid_epochs = plan.finetune.epochs // 2
@@ -296,8 +286,7 @@ def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
             stream_seed(seed, MID_FINETUNE_STREAM))
         big, mid_history = train(big, train_ds, test_ds, mid_cfg)
         merged_series = [r.test_accuracy for r in mid_history.records]
-        fused = (prune_to_architecture(big, reference) if plan.sparsity is None
-                 else magnitude_prune(big, KeepPolicy.sparsity(plan.sparsity)))
+        fused = magnitude_prune(big, KeepPolicy.sparsity(plan.sparsity))
     return fused, merged_series
 
 
@@ -349,10 +338,14 @@ def _context(members, member_accs, test_ds: Dataset) -> dict[str, float]:
 
 def _pipeline_cell(bundle: EnsembleBundle, context: dict[str, float],
                    data: tuple[Dataset, Dataset], seed: int, plan: FusionPlan) -> SeedRecord:
-    """The record of fusing `bundle` per the plan's pipeline and fine-tuning."""
+    """The record of fusing `bundle` per the plan's pipeline and fine-tuning;
+    a plan that sets a sparsity also records whether the fused model has the
+    members' architecture."""
     fused, merged_series = _pipeline_fuse(bundle, plan, *data, seed)
     ft = plan.finetune  # the mid fine-tune spent part of its epochs
     rec = _cell(fused, seed, context, data, replace(ft, epochs=ft.epochs - len(merged_series)))
+    if plan.sparsity is not None:
+        rec.set_metric("member_size_recovered", float(fused.arch_id == bundle.arch_id))
     if merged_series:
         rec.set_series("merged_ft_acc", merged_series)
     return rec
@@ -409,17 +402,13 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
     if axis == "transplant_fraction":
         return _transplant_sweep(values, spec)
     if axis == "sparsity":  # every value fuses the same members
-        recovered = 1.0 - 1.0 / spec.k
         plans = [replace(spec.plan, method="nt", sparsity=float(v)) for v in values]
         keys = [(f"{spec.name}-s{v}", f"nt/{spec.plan.pipeline}") for v in values]
 
         def cells(bundle, member_accs, data, seed):
             context = _context(bundle.members, member_accs, data[1])
-            for v, plan, key in zip(values, plans, keys):
-                rec = _pipeline_cell(bundle, context, data, seed, plan)
-                rec.set_metric("member_size_recovered",
-                               1.0 if abs(float(v) - recovered) < 1e-9 else 0.0)
-                yield key, rec
+            for plan, key in zip(plans, keys):
+                yield key, _pipeline_cell(bundle, context, data, seed, plan)
 
         return _drive(spec, spec.k, keys, cells)
     raise InvalidArg(f"unknown sweep axis {axis!r}")
@@ -486,35 +475,40 @@ _UNREAD_KEYS = {"multimodel": ("k", *_OWN_FUSION), "compare": _OWN_FUSION,
                 "sparsity sweep": ("plan.method", "plan.sparsity")}
 
 
+def _given_lists(doc: dict, **kinds: type) -> dict[str, tuple]:
+    """The list keys `kinds` names that `doc` sets (not null), as tuples."""
+    return {key: tuple(_list(doc, key, kind)) for key, kind in kinds.items()
+            if doc.get(key) is not None}
+
+
 def run_spec(doc: dict) -> list[RunReport]:
     """The reports of the experiment a parsed JSON spec document describes.
 
     `experiment` picks the driver (default "pipeline"; also "multimodel",
     "sweep", "failure" and "compare"), and the driver reads its own keys:
     `ks` and `methods` (multimodel), `axis` and `values` (sweep), `methods`
-    and `kd` (compare). A key the driver never reads (`_UNREAD_KEYS`) is refused.
+    and `kd` (compare); an absent list key takes the driver's default. A key
+    the driver never reads (`_UNREAD_KEYS`) is refused before any is parsed.
     """
-    spec = ExperimentSpec.from_json(doc)
+    doc = _object(doc, "experiment spec")
     kind = _get(doc, "experiment", str, "pipeline")
     what = f"{_get(doc, 'axis', str, '').lower()} sweep" if kind == "sweep" else kind
     given = set(doc) | {f"plan.{key}" for key in _get(doc, "plan", dict, {})}
     unread = [key for key in _UNREAD_KEYS.get(what, ()) if key in given]
     if unread:
         raise BadSpec(f"a {what} experiment never reads spec keys {unread}")
+    spec = ExperimentSpec.from_json(doc)
     if kind == "pipeline":
         return [run_pipeline(spec)]
     if kind == "failure":
         return [failure_case(spec)]
     if kind == "multimodel":
-        return ablation_multimodel(
-            spec, ks=tuple(_list(doc, "ks", int, [2, 4, 8])),
-            methods=tuple(_list(doc, "methods", str, ["nt", "nt_iterative", "nt_recursive"])))
+        return ablation_multimodel(spec, **_given_lists(doc, ks=int, methods=str))
     if kind == "sweep":
         return ablation_sweep(_get(doc, "axis", str), _get(doc, "values", list), spec)
     if kind == "compare":
         kd_doc = _get(doc, "kd", dict, None)
         kd = (KdConfig(_get(kd_doc, "temperature", float, 2.0),
                        _get(kd_doc, "soft_weight", float, 1.0)) if kd_doc else None)
-        return compare_methods(
-            spec, methods=tuple(_list(doc, "methods", str, ["nt", "avg", "align"])), kd=kd)
+        return compare_methods(spec, kd=kd, **_given_lists(doc, methods=str))
     raise BadSpec(f"unknown experiment kind {kind!r}")

@@ -55,7 +55,7 @@ class EnsembleBundle:
 class FusionPlan:
     """Declarative description of a fusion run.
 
-    sparsity None means the architecture-restoring default 1 - 1/k.
+    sparsity None keeps one member's widths (`pruning.KeepPolicy()`).
     """
 
     method: str = "nt"  # nt | nt_iterative | nt_recursive | avg | align
@@ -176,26 +176,21 @@ def transplant_fraction(recipient: Network, donor: Network, p: float) -> Network
     return out
 
 
-def _member_widths(net: Network) -> KeepPolicy:
-    return KeepPolicy.keep_counts(c.units for c in hidden_couplings(net))
-
-
 def nt_fuse(bundle: EnsembleBundle, sparsity: Optional[float] = None) -> Network:
     """Joint neuron transplantation: keep the highest-norm units of the
-    members' layer-wise concatenation (default: one member's widths).
+    members' layer-wise concatenation, as many per layer as
+    `KeepPolicy.sparsity(sparsity)` keeps: by default one member's widths.
 
     Units rank by their member's own norms (`pruning`'s norm rule), so the
     result is bit-identical to pruning `concat_fuse(bundle)` but is gathered
     straight from the members, in memory of the members plus the result.
     """
     _require_fusable(bundle)
-    policy = (_member_widths(bundle.members[0]) if sparsity is None
-              else KeepPolicy.sparsity(sparsity))
-    return prune_concat(bundle.members, policy)
+    return prune_concat(bundle.members, KeepPolicy.sparsity(sparsity))
 
 
 def _pairwise_reduce(a: Network, b: Network) -> Network:
-    return prune_concat([a, b], _member_widths(a))
+    return prune_concat([a, b], KeepPolicy())
 
 
 def fuse_iterative(bundle: EnsembleBundle) -> Network:

@@ -3,6 +3,9 @@ pruning, reordering and placement (`fusion.transplant_fraction`). Each ranks
 units with `_ranked_order`, if it ranks, and moves them through `gather_units`,
 which moves a unit's row/filter, bias, BN channel and downstream inputs together.
 
+`KeepPolicy` alone sets how many units each hidden layer keeps: by default one
+member's width, N // k of a layer's N units from k members, ranked jointly.
+
 The norm rule: a hidden unit's squared norm adds up, in ascending member
 (origin label) order, the sums of squares of the slices of its incoming row
 fed by each member's units of the previous hidden layer, then the bias
@@ -34,20 +37,25 @@ from .tensor import _block_norms, row_l2_norms
 
 @dataclass(frozen=True)
 class KeepPolicy:
-    """How many units survive per layer.
+    """How many units each hidden layer keeps.
 
-    sparsity s keeps N - floor(s*N) (never below 1); keep_counts pins each
-    hidden layer; per_member quotas keep the top-q_j units of each ensemble
-    member and need origin labels on the network.
+    A layer's k is its number of sources, or of origin labels when there is
+    one source (1 without labels). The default `KeepPolicy()` keeps one
+    member's width, N // k of the layer's N units, ranked jointly;
+    `per_member()` splits that width evenly, each member keeping its own top
+    units (the first width % k members one more), and refuses a layer whose
+    members hold unequal unit counts. sparsity s keeps N - floor(s*N) (never
+    below 1) and `sparsity(None)` is the default; keep_counts pins each layer.
     """
 
-    mode: str
+    mode: str = "member"  # member | per_member | sparsity | keep_counts
     value: float = 0.0
     counts: tuple[int, ...] = ()
-    quotas: tuple[int, ...] = ()
 
     @staticmethod
-    def sparsity(s: float) -> "KeepPolicy":
+    def sparsity(s: Optional[float]) -> "KeepPolicy":
+        if s is None:
+            return KeepPolicy()
         if not 0.0 <= s < 1.0:
             raise InvalidArg("sparsity must be in [0, 1)")
         return KeepPolicy("sparsity", value=s)
@@ -57,8 +65,8 @@ class KeepPolicy:
         return KeepPolicy("keep_counts", counts=tuple(int(c) for c in counts))
 
     @staticmethod
-    def per_member(quotas) -> "KeepPolicy":
-        return KeepPolicy("per_member", quotas=tuple(int(q) for q in quotas))
+    def per_member() -> "KeepPolicy":
+        return KeepPolicy("per_member")
 
 
 def _ranked_order(norms: np.ndarray, origins: Optional[np.ndarray]) -> np.ndarray:
@@ -74,25 +82,25 @@ def _keep_indices(policy: KeepPolicy, pos: int, layer: int, norms: np.ndarray,
     coupling at position `pos`, from its unit norms and origin labels."""
     units = len(norms)
     order = _ranked_order(norms, origins)
+    sizes = np.bincount(origins) if origins is not None else np.array([units])
+    width, k = units // len(sizes), len(sizes)  # one member's width, the member count
     if policy.mode == "per_member":
         if origins is None:
-            raise InvalidArg("per-member quotas need origin labels (fuse first)")
-        if len(policy.quotas) != int(origins.max()) + 1:
-            raise InvalidArg("one quota per ensemble member required")
-        chosen = []
-        for j, quota in enumerate(policy.quotas):
-            mine = order[origins[order] == j]  # member j's units, ranked
-            if quota > len(mine):
-                raise InvalidArg(f"quota {quota} exceeds member {j} width {len(mine)}")
-            chosen.append(mine[:quota])
-        keep_idx = np.sort(np.concatenate(chosen))
+            raise InvalidArg("per-member pruning needs origin labels (fuse first)")
+        if sizes.min() != sizes.max():
+            raise InvalidArg(f"layer {layer}: members hold unequal unit counts {sizes.tolist()}")
+        base, extra = divmod(width, k)
+        keep_idx = np.sort(np.concatenate(
+            [order[origins[order] == j][: base + (j < extra)] for j in range(k)]))
     else:
         if policy.mode == "sparsity":
             keep = max(1, units - math.floor(policy.value * units))
-        else:
+        elif policy.mode == "keep_counts":
             keep = policy.counts[pos]
             if keep > units:
                 raise InvalidArg(f"keep count {keep} exceeds layer width {units}")
+        else:
+            keep = width
         if keep < 1:
             raise EmptyLayer(f"layer {layer} would keep {keep} units")
         keep_idx = np.sort(order[:keep])

@@ -460,32 +460,39 @@ def unit_norms(net, couplings, pos, include_bias=True):
 
 
 def _resolve_keep(policy, couplings, net, include_bias):
+    """Kept unit indices per hidden layer. A layer's member count k is its
+    number of origin labels (1 without labels), and one member's width is
+    its unit count // k: the default keeps that many jointly, `per_member`
+    splits it evenly, the first width % k members keeping one more."""
     kept = []
     if policy.mode == "keep_counts" and len(policy.counts) != len(couplings):
         raise InvalidArg(f"need {len(couplings)} keep counts, got {len(policy.counts)}")
     for pos, c in enumerate(couplings):
         norms = unit_norms(net, couplings, pos, include_bias)
         origins = net.origins.get(c.layer) if net.origins else None
+        k = int(origins.max()) + 1 if origins is not None else 1
+        width = c.units // k
         if policy.mode == "per_member":
             if origins is None:
-                raise InvalidArg("per-member quotas need origin labels (fuse first)")
-            if len(policy.quotas) != int(origins.max()) + 1:
-                raise InvalidArg("one quota per ensemble member required")
+                raise InvalidArg("per-member pruning needs origin labels (fuse first)")
+            members = [np.flatnonzero(origins == j) for j in range(k)]
+            if len({len(mine) for mine in members}) != 1:
+                raise InvalidArg(f"layer {c.layer}: members hold unequal unit counts")
             chosen = []
-            for j, quota in enumerate(policy.quotas):
-                mine = np.flatnonzero(origins == j)
-                if quota > len(mine):
-                    raise InvalidArg(f"quota {quota} exceeds member {j} width {len(mine)}")
+            for j, mine in enumerate(members):
+                quota = width // k + (1 if j < width % k else 0)
                 order = mine[np.lexsort((mine, -norms[mine].astype(np.float64)))]
                 chosen.append(order[:quota])
-            keep_idx = np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=np.int64)
+            keep_idx = np.sort(np.concatenate(chosen))
         else:
             if policy.mode == "sparsity":
                 keep = max(1, c.units - math.floor(policy.value * c.units))
-            else:
+            elif policy.mode == "keep_counts":
                 keep = policy.counts[pos]
                 if keep > c.units:
                     raise InvalidArg(f"keep count {keep} exceeds layer width {c.units}")
+            else:
+                keep = width
             if keep < 1:
                 raise EmptyLayer(f"layer {c.layer} would keep {keep} units")
             keep_idx = np.sort(_ranked_order(norms, origins)[:keep])

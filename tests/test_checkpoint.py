@@ -233,7 +233,7 @@ class TestOrigins:
         net = conv_members(1, 5)[0]
         assert round_trip(net, tmp_path).origins is None
 
-    @pytest.mark.parametrize("policy", [KeepPolicy.sparsity(0.5), KeepPolicy.per_member([3, 2])])
+    @pytest.mark.parametrize("policy", [KeepPolicy.sparsity(0.5), KeepPolicy.per_member()])
     def test_pruning_a_loaded_concat_matches_pruning_it_in_memory(self, tmp_path, policy):
         net = reversed_duplicate_concat()
         loaded = round_trip(net, tmp_path)

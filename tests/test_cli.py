@@ -385,6 +385,27 @@ class TestBadSpec:
         code, err = self.run_spec(tmp_path, capsys, dict(small_spec(), **keys))
         assert code == 2 and err.startswith("error:")
 
+    def test_unread_key_is_named_before_the_spec_is_parsed(self, tmp_path, capsys):
+        """A multimodel spec never reads `k`; that is the error, not that
+        `k` 1 is too few members."""
+        doc = dict(small_spec(), experiment="multimodel", k=1, ks=[2])
+        code, err = self.run_spec(tmp_path, capsys, doc)
+        assert code == 2 and "never reads spec keys ['k']" in err
+
+    @pytest.mark.parametrize("kind,driver,lists", [
+        ("multimodel", "ablation_multimodel", {"ks": [3], "methods": ["nt"]}),
+        ("compare", "compare_methods", {"methods": ["avg"]}),
+    ])
+    def test_driver_defaults_apply_to_absent_list_keys(self, monkeypatch, kind, driver, lists):
+        """`run_spec` passes `ks` and `methods` only when the spec sets them,
+        so the driver's signature holds the one default."""
+        calls = []
+        monkeypatch.setattr(experiments, driver, lambda spec, **kw: calls.append(kw) or [])
+        for given in ({}, dict.fromkeys(lists), lists):
+            experiments.run_spec(dict(small_spec(), experiment=kind, **given))
+        given = [{key: v for key, v in kw.items() if key != "kd"} for kw in calls]
+        assert given == [{}, {}, {key: tuple(v) for key, v in lists.items()}]
+
     def test_depth_sweep_on_null_hidden_uses_the_default_width(self, tmp_path, capsys):
         doc = dict(small_spec(), experiment="sweep", axis="depth", values=[1],
                    arch=dict(small_spec()["arch"], hidden=None))

@@ -121,6 +121,32 @@ class TestRunPipeline:
                 assert any(np.array_equal(row, r) for r in big_rows)
         assert joint.arch_id == local.arch_id
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_prune_merge_ft_keeps_each_member_s_even_share_of_a_convnet(self, k):
+        """Hidden widths 4, 8 and 16 differ; each layer keeps one member's
+        width, split evenly, the first width % k members one unit more."""
+        from ntfusion.experiments import _pipeline_fuse
+        from ntfusion.fusion import EnsembleBundle
+        from ntfusion.network import hidden_couplings, init_network
+        from ntfusion.tensor import RngStream
+
+        spec = tiny_spec(
+            k=k, seeds=(1,), train=TrainConfig(epochs=1, lr=0.05, batch=BatchPlan(32)),
+            dataset={"kind": "shapes", "n": 80, "classes": 3, "image": 12, "seed": 4},
+            arch={"type": "convnet", "image_hw": [12, 12], "in_channels": 1,
+                  "conv_channels": [4, 8], "hidden": [16], "classes": 3},
+            plan=FusionPlan(pipeline="prune_merge_ft",
+                            finetune=TrainConfig(epochs=1, lr=0.05, batch=BatchPlan(32))))
+        specs = build_arch(spec.arch)
+        bundle = EnsembleBundle([init_network(specs, RngStream(j, "conv")) for j in range(k)])
+        fused, _ = _pipeline_fuse(bundle, spec.plan, *build_dataset(spec.dataset), 1)
+        assert fused.arch_id == bundle.arch_id
+        for c in hidden_couplings(bundle.members[0]):
+            share = [c.units // k + (j < c.units % k) for j in range(k)]
+            assert np.bincount(fused.origins[c.layer], minlength=k).tolist() == share
+        rec = run_pipeline(spec).records[0]
+        assert len(rec.series["finetuned_acc"]) == 1
+
     def test_merge_ft_prune_ft_records_merged_series(self):
         spec = tiny_spec(plan=FusionPlan(
             method="nt", pipeline="merge_ft_prune_ft",
@@ -194,7 +220,7 @@ class TestAblations:
                                          plan=replace(spec.plan, sparsity=v)))
             assert (report.experiment, report.method) == (alone.experiment, alone.method)
             for rec, want in zip(report.records, alone.records, strict=True):
-                assert rec.metrics.pop("member_size_recovered") == (1.0 if v == 0.5 else 0.0)
+                assert rec.metrics["member_size_recovered"] == (1.0 if v == 0.5 else 0.0)
                 assert (rec.metrics, rec.series) == (want.metrics, want.series)
 
 

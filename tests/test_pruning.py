@@ -6,7 +6,7 @@ import pytest
 import oracles
 from ntfusion import network as nw
 from ntfusion.errors import ArchIncompatible, EmptyLayer, InvalidArg
-from ntfusion.fusion import EnsembleBundle, concat_fuse
+from ntfusion.fusion import EnsembleBundle, concat_fuse, nt_fuse
 from ntfusion.network import Network, forward, hidden_couplings, init_network
 from ntfusion.pruning import (
     KeepPolicy,
@@ -229,7 +229,7 @@ class TestMagnitudePrune:
     def test_per_member_quota_equals_individual_prune_oracle(self):
         members = [init_network(mlp_specs([5, 8, 3]), RngStream(s, "m")) for s in (10, 11)]
         fused = concat_fuse(EnsembleBundle(members))
-        out = magnitude_prune(fused, KeepPolicy.per_member([4, 4]))
+        out = magnitude_prune(fused, KeepPolicy.per_member())
         # Oracle: prune each member to its top 4 units, then concatenate.
         kept_rows = []
         for m in members:
@@ -242,7 +242,7 @@ class TestMagnitudePrune:
     def test_per_member_needs_origins(self):
         net = init_network(mlp_specs([5, 8, 3]), RngStream(12, "p"))
         with pytest.raises(InvalidArg):
-            magnitude_prune(net, KeepPolicy.per_member([2, 2]))
+            magnitude_prune(net, KeepPolicy.per_member())
 
     def test_empty_layer_rejected(self):
         net = init_network(mlp_specs([5, 8, 3]), RngStream(13, "p"))
@@ -312,10 +312,10 @@ class TestPruneToArchitecture:
 
 def conv_hidden_specs():
     """conv+BN+pool, a flatten block of 16 columns, and two hidden Linear
-    layers; every hidden layer is 6 wide so per-member quotas apply."""
+    layers; the hidden widths 6, 5 and 7 differ and do not all divide by k."""
     return [nw.conv(1, 6, 3, padding=1), nw.batchnorm(6), nw.relu(), nw.maxpool(2),
-            nw.flatten(), nw.linear(6 * 4 * 4, 6), nw.relu(), nw.linear(6, 6), nw.relu(),
-            nw.linear(6, 3)]
+            nw.flatten(), nw.linear(6 * 4 * 4, 5), nw.relu(), nw.linear(5, 7), nw.relu(),
+            nw.linear(7, 3)]
 
 
 class TestPruneConcat:
@@ -326,10 +326,9 @@ class TestPruneConcat:
     def test_policies_match_pruning_the_concatenation(self, k):
         members = [init_network(conv_hidden_specs(), RngStream(30 + j, "pc")) for j in range(k)]
         big = oracles.concat_fuse(EnsembleBundle(members))
-        quotas = [6 // k + (1 if j < 6 % k else 0) for j in range(k)]
         policies = [
-            KeepPolicy.per_member(quotas),
-            KeepPolicy.per_member([1] * k),
+            KeepPolicy(),
+            KeepPolicy.per_member(),
             KeepPolicy.sparsity(0.5),
             KeepPolicy.keep_counts([5, 1, 6 * k]),
         ]
@@ -346,13 +345,39 @@ class TestPruneConcat:
                                             oracles.magnitude_prune(net, KeepPolicy.sparsity(s)))
         fused = oracles.concat_fuse(EnsembleBundle(
             [init_network(conv_hidden_specs(), RngStream(s, "o")) for s in (1, 2)]))
-        for policy in (KeepPolicy.sparsity(0.5), KeepPolicy.per_member([2, 4])):
+        for policy in (KeepPolicy(), KeepPolicy.sparsity(0.5), KeepPolicy.per_member()):
             oracles.assert_same_network(magnitude_prune(fused, policy),
                                         oracles.magnitude_prune(fused, policy))
 
-    def test_quota_count_mismatch_rejected(self):
+    def test_keep_count_mismatch_rejected(self):
         members = [init_network(mlp_specs([5, 8, 3]), RngStream(s, "m")) for s in (1, 2)]
         with pytest.raises(InvalidArg):
-            prune_concat(members, KeepPolicy.per_member([4, 4, 4]))
-        with pytest.raises(InvalidArg):
             prune_concat(members, KeepPolicy.keep_counts([4, 4]))
+
+    @pytest.mark.parametrize("labels", [[0, 0, 0, 1, 1, 1, 1, 1], [0, 0, 0, 0, 2, 2, 2, 2]])
+    def test_per_member_refuses_unequal_member_counts(self, labels):
+        """Members holding unequal unit counts (here after a joint prune left
+        one member more units, or none) have no even share to keep."""
+        net = init_network(mlp_specs([5, 8, 3]), RngStream(3, "m"))
+        net.origins = {0: np.array(labels)}
+        for prune in (magnitude_prune, oracles.magnitude_prune):
+            with pytest.raises(InvalidArg):
+                prune(net, KeepPolicy.per_member())
+        oracles.assert_same_network(magnitude_prune(net, KeepPolicy()),
+                                    oracles.magnitude_prune(net, KeepPolicy()))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("specs", [conv_hidden_specs, lambda: mlp_specs([7, 11, 5, 3])],
+                             ids=["conv", "mlp"])
+    def test_default_policy_restores_one_member(self, specs, k):
+        """`KeepPolicy()` on the concatenation is `prune_to_architecture` to a
+        member and is `nt_fuse`, bit for bit."""
+        bundle = EnsembleBundle([init_network(specs(), RngStream(40 + j, "dflt"))
+                                 for j in range(k)])
+        got = magnitude_prune(concat_fuse(bundle), KeepPolicy())
+        assert got.arch_id == bundle.arch_id
+        oracles.assert_same_network(
+            got, prune_to_architecture(concat_fuse(bundle), bundle.members[0]))
+        oracles.assert_same_network(got, nt_fuse(bundle))
+        oracles.assert_same_network(got, magnitude_prune(concat_fuse(bundle),
+                                                         KeepPolicy.sparsity(None)))

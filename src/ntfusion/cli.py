@@ -17,7 +17,7 @@ from pathlib import Path
 from . import experiments, reporting
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import BadSpec, NTError, UsageError
-from .experiments import build_arch, build_dataset
+from .experiments import _TRAIN, _get, _train_config, build_arch, build_dataset
 from .fusion import EnsembleBundle, FusionPlan, fuse
 from .network import init_network
 from .pruning import KeepPolicy, magnitude_prune
@@ -73,8 +73,8 @@ def _parser() -> _Parser:
     p.add_argument("--student", required=True)
     p.add_argument("--teachers", nargs="+", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--temperature", type=float, default=2.0)
-    p.add_argument("--soft-weight", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, default=KdConfig.temperature)
+    p.add_argument("--soft-weight", type=float, default=KdConfig.soft_weight)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
@@ -113,8 +113,8 @@ def _load_descriptor(text: str) -> dict:
 def _cmd_train(args) -> int:
     doc = _read_json(args.spec)
     train_ds, test_ds = build_dataset(doc.get("dataset"))
-    cfg = experiments._train_config(doc.get("train", {}))
-    seed = experiments._get(doc, "seed", int, 0)
+    cfg = _train_config(_get(doc, "train", dict, {}), _TRAIN)
+    seed = _get(doc, "seed", int, 0)
     net = init_network(build_arch(doc.get("arch")), RngStream(seed, "init"))
     net, history = train(net, train_ds, test_ds, cfg.reseeded(seed))
     metrics = {"test_accuracy": history.records[-1].test_accuracy} if history.records else {}

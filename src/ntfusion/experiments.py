@@ -35,7 +35,7 @@ from .fusion import (
     vanilla_average,
 )
 from .network import LayerSpec, Network, init_network
-from .pruning import KeepPolicy, magnitude_prune, prune_concat
+from .pruning import KeepPolicy, magnitude_prune
 from .reporting import RunReport, SeedRecord
 from .tensor import RngStream
 from .training import (KdConfig, StepDecay, TrainConfig, distill, ensemble_logits, evaluate,
@@ -58,6 +58,13 @@ def _get(doc: dict, key: str, kind: type, default=_REQUIRED):
     if not _is_kind(value, kind):
         raise BadSpec(f"spec key {key!r} must be a JSON {kind.__name__}, got {value!r}")
     return float(value) if kind is float else value
+
+
+def _given(doc: dict, **kinds) -> dict:
+    """The keys `kinds` names that `doc` sets (not null), each read as its kind,
+    a kind [t] as a tuple of `t`s: passed over defaults, they replace only those."""
+    return {key: tuple(_list(doc, key, *kind)) if isinstance(kind, list) else _get(doc, key, kind)
+            for key, kind in kinds.items() if doc.get(key) is not None}
 
 
 def _is_kind(value, kind: type) -> bool:
@@ -92,16 +99,6 @@ def build_dataset(desc: dict) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) from a JSON-able descriptor."""
     desc = _object(desc, "dataset descriptor")
     kind = desc.get("kind")
-    if kind == "blobs":
-        seed = _get(desc, "seed", int)
-        ds = synth_blobs(_get(desc, "n", int), _get(desc, "classes", int), _get(desc, "dim", int),
-                         _get(desc, "spread", float), seed)
-        return train_test_split(ds, _get(desc, "test_fraction", float, 0.25), seed)
-    if kind == "shapes":
-        seed = _get(desc, "seed", int)
-        ds = synth_shapes(_get(desc, "n", int), _get(desc, "classes", int),
-                          _get(desc, "image", int, 12), _get(desc, "noise", float, 0.1), seed)
-        return train_test_split(ds, _get(desc, "test_fraction", float, 0.25), seed)
     if kind == "idx":
         num_classes = _get(desc, "num_classes", int, None)
         train_ds = load_idx(_get(desc, "train_images", str), _get(desc, "train_labels", str),
@@ -110,11 +107,20 @@ def build_dataset(desc: dict) -> tuple[Dataset, Dataset]:
                            num_classes)
         return (_first_rows(train_ds, _get(desc, "limit_train", int, 0), "limit_train"),
                 _first_rows(test_ds, _get(desc, "limit_test", int, 0), "limit_test"))
-    if kind == "csv":
+    if kind == "blobs":
+        seed = _get(desc, "seed", int)
+        ds = synth_blobs(_get(desc, "n", int), _get(desc, "classes", int), _get(desc, "dim", int),
+                         _get(desc, "spread", float), seed)
+    elif kind == "shapes":
+        seed = _get(desc, "seed", int)
+        ds = synth_shapes(_get(desc, "n", int), _get(desc, "classes", int), seed=seed,
+                          **_given(desc, image=int, noise=float))
+    elif kind == "csv":
         ds = load_csv(_get(desc, "path", str), _get(desc, "num_classes", int, None))
-        return train_test_split(ds, _get(desc, "test_fraction", float, 0.25),
-                                _get(desc, "seed", int, 0))
-    raise InvalidArg(f"unknown dataset kind {kind!r}")
+        seed = _get(desc, "seed", int, 0)
+    else:
+        raise InvalidArg(f"unknown dataset kind {kind!r}")
+    return train_test_split(ds, _get(desc, "test_fraction", float, 0.25), seed)
 
 
 def _first_rows(ds: Dataset, limit: int, key: str) -> Dataset:
@@ -169,16 +175,21 @@ def build_arch(template: dict) -> list[LayerSpec]:
     raise InvalidArg(f"unknown arch template {t!r}")
 
 
+# The train block's defaults; the default fine-tune is the train block for 30 epochs.
+_TRAIN = TrainConfig(epochs=20, lr=0.05, batch=BatchPlan(batch_size=64))
+
+
 @dataclass
 class ExperimentSpec:
-    """One experiment cell: data, architecture, ensemble size, and plan."""
+    """One experiment cell: data, architecture, ensemble size, and plan; a
+    plan without a fine-tune gets the default one, `train` for 30 epochs."""
 
     name: str
     dataset: dict
     arch: dict
     k: int = 2
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    train: TrainConfig = field(default_factory=lambda: _train_config({}))
+    train: TrainConfig = _TRAIN
     plan: FusionPlan = field(default_factory=FusionPlan)
 
     def __post_init__(self) -> None:
@@ -192,50 +203,38 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentSpec":
-        """The spec a parsed JSON document describes."""
+        """The spec a parsed JSON document describes: each key it sets replaces
+        one default, the train block's `_TRAIN` and `plan.finetune`'s the
+        default fine-tune, and an absent, null or empty key or block keeps it."""
         doc = _object(doc, "experiment spec")
         plan_doc = _get(doc, "plan", dict, {})
-        ft_doc = _get(plan_doc, "finetune", dict, None)
-        plan = FusionPlan(
-            method=_get(plan_doc, "method", str, "nt"),
-            sparsity=_get(plan_doc, "sparsity", float, None),
-            pipeline=_get(plan_doc, "pipeline", str, "merge_prune_ft"),
-            finetune=_train_config(ft_doc) if ft_doc else None,  # None: __post_init__'s default
-        )
         spec = ExperimentSpec(
             name=_get(doc, "name", str),
             dataset=_get(doc, "dataset", dict),
             arch=_get(doc, "arch", dict),
-            k=_get(doc, "k", int, 2),
-            seeds=tuple(_list(doc, "seeds", int, [1, 2, 3, 4, 5])),
-            train=_train_config(_get(doc, "train", dict, {})),
-            plan=plan,
+            train=_train_config(_get(doc, "train", dict, {}), _TRAIN),
+            plan=FusionPlan(**_given(plan_doc, method=str, sparsity=float, pipeline=str)),
+            **_given(doc, k=int, seeds=[int]),
         )
-        if "finetune_epochs" in doc:
-            spec.plan = replace(spec.plan, finetune=replace(
-                spec.plan.finetune, epochs=_get(doc, "finetune_epochs", int)))
+        finetune = _train_config(_get(plan_doc, "finetune", dict, {}), spec.plan.finetune)
+        spec.plan = replace(spec.plan, finetune=replace(
+            finetune, epochs=_get(doc, "finetune_epochs", int, finetune.epochs)))
         return spec
 
 
-def _train_config(doc: dict) -> TrainConfig:
+def _train_config(doc: dict, base: TrainConfig) -> TrainConfig:
+    """`base` with the keys a train block sets replaced; the rest keep
+    `base`'s settings, and a schedule needs both `period` and `factor`."""
     doc = _object(doc, "train config")
     batch_doc = _get(doc, "batch", dict, {})
     if "seed" in doc or "shuffle_seed" in batch_doc:  # each run seeds its own batch order
         raise BadSpec("spec keys 'seed' and 'batch.shuffle_seed' of a train block are never read")
-    plan = BatchPlan(
-        batch_size=_get(batch_doc, "batch_size", int, 64),
-        drop_last=_get(batch_doc, "drop_last", bool, False),
-    )
-    sched_doc = _get(doc, "schedule", dict, None)
-    schedule = (StepDecay(_get(sched_doc, "period", int), _get(sched_doc, "factor", float))
-                if sched_doc else None)
-    return TrainConfig(
-        epochs=_get(doc, "epochs", int, 20),
-        lr=_get(doc, "lr", float, 0.05),
-        momentum=_get(doc, "momentum", float, 0.9),
-        schedule=schedule,
-        batch=plan,
-    )
+    given = _given(doc, epochs=int, lr=float, momentum=float, schedule=dict)
+    if "schedule" in given:
+        sched = given["schedule"]
+        given["schedule"] = StepDecay(_get(sched, "period", int), _get(sched, "factor", float))
+    batch = replace(base.batch, **_given(batch_doc, batch_size=int, drop_last=bool))
+    return replace(base, batch=batch, **given)
 
 
 # Seed streams of one experiment seed: member j trains on stream j; each run
@@ -273,21 +272,16 @@ def ensemble_accuracy(members, ds: Dataset) -> float:
 def _pipeline_fuse(bundle: EnsembleBundle, plan: FusionPlan, train_ds: Dataset,
                    test_ds: Dataset, seed: int):
     """Run the plan's pipeline; returns (fused net, merged_ft_acc series). The
-    series holds one accuracy per epoch of the wide model's mid fine-tune."""
-    merged_series: list[float] = []
-    if plan.method != "nt" or plan.pipeline == "merge_prune_ft":
-        fused = fuse(bundle, plan)
-    elif plan.pipeline == "prune_merge_ft":
-        fused = prune_concat(bundle.members, KeepPolicy.per_member())
-    else:  # merge_ft_prune_ft
-        big = concat_fuse(bundle)
-        mid_epochs = plan.finetune.epochs // 2
-        mid_cfg = replace(plan.finetune, epochs=mid_epochs).reseeded(
-            stream_seed(seed, MID_FINETUNE_STREAM))
-        big, mid_history = train(big, train_ds, test_ds, mid_cfg)
-        merged_series = [r.test_accuracy for r in mid_history.records]
-        fused = magnitude_prune(big, KeepPolicy.sparsity(plan.sparsity))
-    return fused, merged_series
+    series holds one accuracy per epoch of the wide model's mid fine-tune,
+    which only `merge_ft_prune_ft` runs; `fuse` does every other pipeline."""
+    if plan.pipeline != "merge_ft_prune_ft":
+        return fuse(bundle, plan), []
+    big = concat_fuse(bundle)
+    mid_cfg = replace(plan.finetune, epochs=plan.finetune.epochs // 2).reseeded(
+        stream_seed(seed, MID_FINETUNE_STREAM))
+    big, mid_history = train(big, train_ds, test_ds, mid_cfg)
+    return (magnitude_prune(big, KeepPolicy.sparsity(plan.sparsity)),
+            [r.test_accuracy for r in mid_history.records])
 
 
 def _cell(fused: Network, seed: int, metrics: dict[str, float], data: tuple[Dataset, Dataset],
@@ -475,19 +469,15 @@ _UNREAD_KEYS = {"multimodel": ("k", *_OWN_FUSION), "compare": _OWN_FUSION,
                 "sparsity sweep": ("plan.method", "plan.sparsity")}
 
 
-def _given_lists(doc: dict, **kinds: type) -> dict[str, tuple]:
-    """The list keys `kinds` names that `doc` sets (not null), as tuples."""
-    return {key: tuple(_list(doc, key, kind)) for key, kind in kinds.items()
-            if doc.get(key) is not None}
-
-
 def run_spec(doc: dict) -> list[RunReport]:
     """The reports of the experiment a parsed JSON spec document describes.
 
     `experiment` picks the driver (default "pipeline"; also "multimodel",
     "sweep", "failure" and "compare"), and the driver reads its own keys:
     `ks` and `methods` (multimodel), `axis` and `values` (sweep), `methods`
-    and `kd` (compare); an absent list key takes the driver's default. A key
+    and `kd` (compare, whose distill arms run when it is set). Each key set
+    replaces one default, and an absent, null or empty key or block keeps it:
+    the driver's for `ks` and `methods`, `KdConfig`'s for `kd`'s keys. A key
     the driver never reads (`_UNREAD_KEYS`) is refused before any is parsed.
     """
     doc = _object(doc, "experiment spec")
@@ -503,12 +493,12 @@ def run_spec(doc: dict) -> list[RunReport]:
     if kind == "failure":
         return [failure_case(spec)]
     if kind == "multimodel":
-        return ablation_multimodel(spec, **_given_lists(doc, ks=int, methods=str))
+        return ablation_multimodel(spec, **_given(doc, ks=[int], methods=[str]))
     if kind == "sweep":
         return ablation_sweep(_get(doc, "axis", str), _get(doc, "values", list), spec)
     if kind == "compare":
         kd_doc = _get(doc, "kd", dict, None)
-        kd = (KdConfig(_get(kd_doc, "temperature", float, 2.0),
-                       _get(kd_doc, "soft_weight", float, 1.0)) if kd_doc else None)
-        return compare_methods(spec, kd=kd, **_given_lists(doc, methods=str))
+        kd = (None if kd_doc is None
+              else KdConfig(**_given(kd_doc, temperature=float, soft_weight=float)))
+        return compare_methods(spec, kd=kd, **_given(doc, methods=[str]))
     raise BadSpec(f"unknown experiment kind {kind!r}")

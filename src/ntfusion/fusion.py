@@ -53,9 +53,8 @@ class EnsembleBundle:
 
 @dataclass(frozen=True)
 class FusionPlan:
-    """Declarative description of a fusion run.
-
-    sparsity None keeps one member's widths (`pruning.KeepPolicy()`).
+    """Declarative description of a fusion run: `fuse` reads every field but
+    `finetune`. sparsity None keeps one member's widths (`KeepPolicy()`).
     """
 
     method: str = "nt"  # nt | nt_iterative | nt_recursive | avg | align
@@ -68,8 +67,7 @@ class FusionPlan:
             raise InvalidArg(f"unknown fusion method {self.method!r}")
         if self.pipeline not in ("prune_merge_ft", "merge_prune_ft", "merge_ft_prune_ft"):
             raise InvalidArg(f"unknown pipeline {self.pipeline!r}")
-        if self.sparsity is not None and not 0.0 <= self.sparsity < 1.0:
-            raise InvalidArg("sparsity must be in [0, 1)")
+        KeepPolicy.sparsity(self.sparsity)
         # Refuse settings the plan would never read rather than ignore them.
         if self.method != "nt" and self.pipeline != "merge_prune_ft":
             raise InvalidArg(f"pipeline {self.pipeline!r} needs method 'nt', not {self.method!r}")
@@ -224,8 +222,15 @@ def fuse_recursive(bundle: EnsembleBundle) -> Network:
 
 
 def fuse(bundle: EnsembleBundle, plan: FusionPlan) -> Network:
-    """Dispatch on plan.method; `align` requires exactly two members."""
+    """Dispatch on plan.method and, for `nt`, on plan.pipeline: only
+    `experiments.run_pipeline` fine-tunes the wide model `merge_ft_prune_ft`
+    needs, so `fuse` refuses it. `align` requires exactly two members."""
     if plan.method == "nt":
+        if plan.pipeline == "merge_ft_prune_ft":
+            raise InvalidArg("merge_ft_prune_ft fine-tunes the wide model: run it as a pipeline")
+        if plan.pipeline == "prune_merge_ft":
+            _require_fusable(bundle)
+            return prune_concat(bundle.members, KeepPolicy.per_member())
         return nt_fuse(bundle, plan.sparsity)
     if plan.method == "nt_iterative":
         return fuse_iterative(bundle)

@@ -56,8 +56,8 @@ class TrainConfig:
 class KdConfig:
     """Distillation knobs; the hard (label) term weighs 1 - soft_weight."""
 
-    temperature: float
-    soft_weight: float
+    temperature: float = 2.0
+    soft_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:

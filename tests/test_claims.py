@@ -8,6 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from ntfusion import experiments
+from ntfusion.data import BatchPlan
+from ntfusion.fusion import FusionPlan
+from ntfusion.training import TrainConfig
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -83,3 +88,50 @@ def test_rerun_writes_identical_bytes(gate_run, tmp_path):
     again = tmp_path / "again.json"
     assert gate.main(spec_dir, again) == 0
     assert again.read_bytes() == out.read_bytes()
+
+
+def budget(epochs: int, lr: float) -> TrainConfig:
+    return TrainConfig(epochs=epochs, lr=lr, momentum=0.9, schedule=None,
+                       batch=BatchPlan(batch_size=64, shuffle_seed=0, drop_last=False))
+
+
+# What each committed spec runs: its driver and the arguments the driver
+# reads, its k, seeds and members' training, and its fine-tune. A change to
+# the spec reader that moves a claim's budget shows here, not only in the
+# gate's margins.
+COMMITTED = {
+    "compare.json": ("compare_methods", {"methods": ("nt", "avg", "align"), "kd": None},
+                     2, (1, 2, 3, 4, 5), budget(25, 0.05), budget(30, 0.01)),
+    "failure.json": ("failure_case", {}, 2, (1, 2, 3, 4, 5), budget(20, 0.05), budget(3, 0.05)),
+    "multimodel.json": ("ablation_multimodel",
+                        {"ks": (2, 4, 8), "methods": ("nt", "nt_iterative")},
+                        2, (1, 2, 3, 4, 5), budget(25, 0.05), budget(0, 0.05)),
+    "sweep.json": ("ablation_sweep", {"axis": "transplant_fraction", "values": [0, 0.5, 1]},
+                   2, (1, 2, 3, 4, 5), budget(25, 0.05), budget(3, 0.01)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED))
+def test_committed_specs_run_their_stated_budgets(monkeypatch, name):
+    calls = []
+
+    def recorder(driver):
+        def record(*args, **kw):
+            if driver == "ablation_sweep":
+                axis, values, spec = args
+                kw = dict(kw, axis=axis, values=values)
+            else:
+                (spec,) = args
+            calls.append((driver, spec, kw))
+            return []
+        return record
+
+    for driver in ("compare_methods", "failure_case", "ablation_multimodel", "ablation_sweep"):
+        monkeypatch.setattr(experiments, driver, recorder(driver))
+    experiments.run_spec(json.loads((ROOT / "claims" / name).read_text()))
+    driver, arguments, k, seeds, train, finetune = COMMITTED[name]
+    [(got_driver, spec, got_arguments)] = calls
+    assert (got_driver, got_arguments) == (driver, arguments)
+    assert (spec.k, spec.seeds, spec.train) == (k, seeds, train)
+    assert spec.plan == FusionPlan(method="nt", sparsity=None, pipeline="merge_prune_ft",
+                                   finetune=finetune)

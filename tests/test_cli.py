@@ -14,6 +14,7 @@ from ntfusion.cli import cli_dispatch
 from ntfusion.experiments import build_arch
 from ntfusion.fusion import concat_fuse
 from ntfusion.tensor import RngStream
+from ntfusion.training import KdConfig
 from oracles import assert_same_network
 from test_data import write_idx_pair
 from test_fusion import conv57_specs, make_members
@@ -301,6 +302,8 @@ REFUSED_BEFORE_TRAINING = [
     {"train": {"epochs": 1, "batch": {"shuffle_seed": 3}}},
     {"plan": {"finetune": {"epochs": 1, "seed": 3}}},
     {"plan": {"finetune": {"epochs": 1, "batch": {"batch_size": 8, "shuffle_seed": 3}}}},
+    # A schedule needs its period and factor; an empty one is not "no schedule".
+    {"train": {"epochs": 1, "schedule": {}}},
 ]
 
 
@@ -405,6 +408,11 @@ class TestBadSpec:
             experiments.run_spec(dict(small_spec(), experiment=kind, **given))
         given = [{key: v for key, v in kw.items() if key != "kd"} for kw in calls]
         assert given == [{}, {}, {key: tuple(v) for key, v in lists.items()}]
+
+    def test_distill_flag_defaults_are_kd_config_defaults(self):
+        args = cli._parser().parse_args(["distill", "--student", "s", "--teachers", "t",
+                                         "--data", "d", "--out", "o"])
+        assert KdConfig(args.temperature, args.soft_weight) == KdConfig()
 
     def test_depth_sweep_on_null_hidden_uses_the_default_width(self, tmp_path, capsys):
         doc = dict(small_spec(), experiment="sweep", axis="depth", values=[1],

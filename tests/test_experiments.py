@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ntfusion import experiments
 from ntfusion.data import BatchPlan
+from ntfusion.errors import BadSpec
 from ntfusion.experiments import (
     ExperimentSpec,
     ablation_multimodel,
@@ -16,11 +18,12 @@ from ntfusion.experiments import (
     compare_methods,
     failure_case,
     run_pipeline,
+    run_spec,
 )
 from ntfusion.fusion import FusionPlan
 from ntfusion.network import LayerKind
 from ntfusion.reporting import report_rows
-from ntfusion.training import KdConfig, TrainConfig
+from ntfusion.training import KdConfig, StepDecay, TrainConfig
 
 
 def tiny_spec(name="tiny", **kw):
@@ -90,6 +93,62 @@ class TestBuilders:
     def test_from_json_defaults_match_python_defaults(self):
         keys = {"name": "d", "dataset": {"kind": "blobs"}, "arch": {"type": "mlp"}}
         assert ExperimentSpec.from_json(keys) == ExperimentSpec(**keys)
+
+
+def spec_doc(**keys):
+    """A one-seed pipeline spec document on a small MLP, with `keys` set."""
+    return {"name": "doc", "seeds": [1],
+            "dataset": {"kind": "blobs", "n": 60, "classes": 3, "dim": 4, "spread": 0.5,
+                        "seed": 5},
+            "arch": {"type": "mlp", "in_features": 4, "hidden": [8], "classes": 3}, **keys}
+
+
+def without_empty(doc: dict) -> dict:
+    """`doc` with every null or (once emptied) empty object removed."""
+    out = {key: without_empty(v) if isinstance(v, dict) else v for key, v in doc.items()}
+    return {key: v for key, v in out.items() if v is not None and v != {}}
+
+
+# A train block that sets every key away from its default.
+FULL_TRAIN = {"epochs": 1, "lr": 0.1, "momentum": 0.5, "schedule": {"period": 2, "factor": 0.5},
+              "batch": {"batch_size": 16, "drop_last": True}}
+
+
+class TestSpecReader:
+    """Every key a spec sets replaces one default; an absent, null or empty
+    key or block keeps it."""
+
+    def test_partial_finetune_block_inherits_the_train_block(self):
+        spec = ExperimentSpec.from_json(spec_doc(train=FULL_TRAIN,
+                                                 plan={"finetune": {"lr": 0.01}}))
+        assert spec.train == TrainConfig(epochs=1, lr=0.1, momentum=0.5,
+                                         schedule=StepDecay(2, 0.5),
+                                         batch=BatchPlan(16, drop_last=True))
+        assert spec.plan.finetune == replace(spec.train, epochs=30, lr=0.01)
+
+    @pytest.mark.parametrize("keys", [
+        {"finetune_epochs": None}, {"plan": {"finetune": {}}}, {"k": None, "seeds": None},
+        {"plan": {"finetune": None, "method": None, "sparsity": None, "pipeline": None}},
+        {"train": {}}, {"train": dict(FULL_TRAIN, lr=None, schedule=None, batch={})},
+    ], ids=str)
+    def test_null_and_empty_keys_read_as_absent(self, keys):
+        doc = spec_doc(**{"train": FULL_TRAIN, **keys})
+        assert ExperimentSpec.from_json(doc) == ExperimentSpec.from_json(without_empty(doc))
+
+    @pytest.mark.parametrize("block", ["train", "finetune"])
+    def test_empty_schedule_names_its_period(self, block):
+        doc = (spec_doc(train={"schedule": {}}) if block == "train"
+               else spec_doc(plan={"finetune": {"schedule": {}}}))
+        with pytest.raises(BadSpec, match="'period'"):
+            ExperimentSpec.from_json(doc)
+
+    def test_empty_kd_block_distills_with_kd_config_defaults(self, monkeypatch):
+        seen, real = [], experiments.distill
+        monkeypatch.setattr(experiments, "distill", lambda *a: seen.append(a[-1]) or real(*a))
+        reports = run_spec(spec_doc(experiment="compare", methods=["avg"], kd={},
+                                    train={"epochs": 1}, finetune_epochs=1))
+        assert [r.method for r in reports] == ["avg", "avg+distill"]
+        assert seen == [KdConfig()]
 
 
 class TestRunPipeline:

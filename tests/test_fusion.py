@@ -29,7 +29,8 @@ from ntfusion.fusion import (
     vanilla_average,
 )
 from ntfusion.network import LayerKind, forward, init_network
-from ntfusion.pruning import KeepPolicy, magnitude_prune, permute_units, prune_to_architecture
+from ntfusion.pruning import (KeepPolicy, magnitude_prune, permute_units, prune_concat,
+                              prune_to_architecture)
 from ntfusion.tensor import RngStream, row_l2_norms
 
 from oracles import rel_error
@@ -388,6 +389,28 @@ class TestReductionSchemes:
         for method in ("nt", "nt_iterative", "nt_recursive", "avg", "align"):
             out = fuse(bundle, FusionPlan(method=method))
             assert out.arch_id == bundle.arch_id
+
+
+class TestFusePipelines:
+    """`fuse` reads the plan's pipeline: three MLPs 4-6-6-3, 18 units per
+    hidden layer, of which one member's width, 6, survives."""
+
+    def bundle(self):
+        return make_members([nw.linear(4, 6), nw.relu(), nw.linear(6, 6), nw.relu(),
+                             nw.linear(6, 3)], 3, 46)
+
+    def test_prune_merge_ft_keeps_each_member_s_even_share(self):
+        bundle = self.bundle()
+        out = fuse(bundle, FusionPlan(pipeline="prune_merge_ft"))
+        oracles.assert_same_network(out, prune_concat(bundle.members, KeepPolicy.per_member()))
+        assert [np.bincount(o).tolist() for o in out.origins.values()] == [[2, 2, 2]] * 2
+        joint = fuse(bundle, FusionPlan())
+        assert [np.bincount(o).tolist() for o in joint.origins.values()] != [[2, 2, 2]] * 2
+
+    def test_merge_ft_prune_ft_is_refused(self):
+        """It fine-tunes the wide model before the prune, which `fuse` never does."""
+        with pytest.raises(InvalidArg, match="merge_ft_prune_ft"):
+            fuse(self.bundle(), FusionPlan(pipeline="merge_ft_prune_ft"))
 
 
 class TestFusionPlan:

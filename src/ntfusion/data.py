@@ -215,13 +215,16 @@ def synth_shapes(n: int, classes: int, image: int = 12, noise: float = 0.1,
     pos = 0
     for c, count in enumerate(counts):
         crng = rng.split(f"class-{c}")
+        glyphs = {}  # size -> this class's glyph, drawn once
         for _ in range(count):
             size = int(crng.integers(max(5, image // 2 - 1), image - 1))
             oy = int(crng.integers(0, image - size + 1))
             ox = int(crng.integers(0, image - size + 1))
             intensity = float(crng.uniform((), 0.6, 1.0))
+            if size not in glyphs:
+                glyphs[size] = _glyph(c, size)
             img = np.zeros((image, image), dtype=np.float32)
-            img[oy : oy + size, ox : ox + size] = _glyph(c, size) * np.float32(intensity)
+            img[oy : oy + size, ox : ox + size] = glyphs[size] * np.float32(intensity)
             img += crng.normal((image, image), std=noise)
             feats[pos, 0] = np.clip(img, 0.0, 1.0)
             labels[pos] = c

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import network as nw
 from .data import (
-    BatchPlan,
     Dataset,
     load_csv,
     load_idx,
@@ -176,7 +175,7 @@ def build_arch(template: dict) -> list[LayerSpec]:
 
 
 # The train block's defaults; the default fine-tune is the train block for 30 epochs.
-_TRAIN = TrainConfig(epochs=20, lr=0.05, batch=BatchPlan(batch_size=64))
+_TRAIN = TrainConfig(epochs=20, lr=0.05)
 
 
 @dataclass

@@ -3,18 +3,22 @@
 Each forward returns (out, cache) where the cache holds exactly what the
 matching backward needs: conv keeps the im2col columns its forward
 multiplied, so the backward does not rebuild them; maxpool keeps
-(x, window, out) and routes each gradient to the first max of its window.
-Layer sequencing, parameter storage, and dispatch live in the network
-module.
+(x, window, out) and routes each gradient to the first max of its window;
+relu keeps its output, which the next layer's cache usually holds already,
+since out > 0 exactly where x > 0. Layer sequencing, parameter storage, and
+dispatch live in the network module.
 
-Kernels read their arguments and return new arrays, with three
+Kernels read their arguments and return new arrays, with four
 exceptions. Train-mode bn_forward updates the running buffers in place.
-bn_backward and relu_backward write their input gradient into dout's
-buffer when called with overwrite_dout=True; network.backprop does so for
-every gradient it allocated itself, which is all but the logits gradient.
-conv_backward and linear_backward skip the input gradient when called
-with input_grad=False, as backprop does for the first layer with
-parameters, whose input gradient nothing reads.
+bn_forward and relu_forward write their output into x's buffer when called
+with overwrite_x=True; the cacheless network.forward does so for every
+activation it allocated itself, never for the caller's batch. bn_backward
+and relu_backward write their input gradient into dout's buffer when called
+with overwrite_dout=True; network.backprop does so for every gradient it
+allocated itself, which is all but the logits gradient. conv_backward and
+linear_backward skip the input gradient when called with input_grad=False,
+as backprop does for the first layer with parameters, whose input gradient
+nothing reads.
 
 conv_backward builds its input gradient in the padded-width layout of
 tensor._col2im, which adds each kernel offset's columns in one long run;
@@ -88,6 +92,8 @@ def conv_backward(dout: Array, cache, *, input_grad: bool = True):
     batch, _, out_h, out_w = dout.shape
     dout2 = dout.reshape(batch, o, -1)
     dw = np.tensordot(dout2, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    # When the caller handed the cache over, the columns go before dx's are built.
+    del cache, cols
     db = dout.sum(axis=(0, 2, 3))
     dx = None
     if input_grad:
@@ -102,12 +108,15 @@ def conv_backward(dout: Array, cache, *, input_grad: bool = True):
 
 
 def bn_forward(x: Array, weight: Array, bias: Array, running_mean: Array,
-               running_var: Array, mode: str):
+               running_var: Array, mode: str, *, overwrite_x: bool = False):
     """Per-channel batch norm over a (batch, ch, H, W) tensor.
 
     Train mode normalizes with biased batch statistics and updates the
     running buffers in place (unbiased variance, momentum 0.1). Eval mode
-    uses the frozen running statistics and mutates nothing.
+    uses the frozen running statistics and mutates nothing. With
+    `overwrite_x`, the output is written into x's buffer, which in eval mode
+    also held the normalized input; the cache is then None, as nothing runs
+    a backward through it.
     """
     if mode == "train":
         n = x.shape[0] * x.shape[2] * x.shape[3]
@@ -116,7 +125,7 @@ def bn_forward(x: Array, weight: Array, bias: Array, running_mean: Array,
         # The same reduction np.var runs on the centred input, so the
         # variance is bit-identical to x.var(axis=(0, 2, 3)). The squares'
         # buffer is reused for the output.
-        out = np.square(xhat)
+        out = np.square(xhat, out=x if overwrite_x else None)
         var = out.sum(axis=(0, 2, 3)) / n
         inv = 1.0 / np.sqrt(var + np.float32(BN_EPS))
         xhat *= inv.reshape(1, -1, 1, 1)
@@ -127,12 +136,12 @@ def bn_forward(x: Array, weight: Array, bias: Array, running_mean: Array,
         running_var += np.float32(BN_MOMENTUM) * unbiased
     else:
         inv = 1.0 / np.sqrt(running_var + np.float32(BN_EPS))
-        xhat = x - running_mean.reshape(1, -1, 1, 1)
+        xhat = np.subtract(x, running_mean.reshape(1, -1, 1, 1), out=x if overwrite_x else None)
         xhat *= inv.reshape(1, -1, 1, 1)
-        out = np.empty_like(xhat)
+        out = xhat if overwrite_x else np.empty_like(xhat)
     np.multiply(weight.reshape(1, -1, 1, 1), xhat, out=out)
     out += bias.reshape(1, -1, 1, 1)
-    return out, (xhat, weight, inv, mode)
+    return out, None if overwrite_x else (xhat, weight, inv, mode)
 
 
 def bn_backward(dout: Array, cache, *, overwrite_dout: bool = False):
@@ -211,11 +220,13 @@ def flatten_backward(dout: Array, cache):
     return dout.reshape(cache)
 
 
-def relu_forward(x: Array):
-    return np.maximum(x, np.float32(0.0)), x
+def relu_forward(x: Array, *, overwrite_x: bool = False):
+    """max(x, 0), cached as it is; with `overwrite_x`, written into x's buffer."""
+    out = np.maximum(x, np.float32(0.0), out=x if overwrite_x else None)
+    return out, out
 
 
 def relu_backward(dout: Array, cache, *, overwrite_dout: bool = False):
-    """dout where the forward input was positive, else ±0.0 (dout times the
+    """dout where the forward output was positive, else ±0.0 (dout times the
     0/1 mask); with `overwrite_dout`, written into dout's buffer."""
     return np.multiply(dout, cache > 0, out=dout if overwrite_dout else None)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import layers
 from .errors import ShapeMismatch, UnsupportedTopology, InvalidArg
-from .tensor import Array, RngStream
+from .tensor import Array, RngStream, conv2d
 
 Mode = Literal["train", "eval"]
 
@@ -241,20 +241,28 @@ def init_network(specs: list[LayerSpec], rng: RngStream) -> Network:
     return Network(list(specs), params)
 
 
-def _layer_forward(spec: LayerSpec, p: dict[str, Array], x: Array, mode: Mode):
+def _layer_forward(spec: LayerSpec, p: dict[str, Array], x: Array, mode: Mode, *,
+                   keep: bool = True, overwrite_x: bool = False):
+    """(out, cache) of one layer. Without `keep` no backward follows, and a
+    conv runs through `tensor.conv2d` with no cache; `overwrite_x` lets
+    BatchNorm and ReLU write their output into x's buffer."""
     k = spec.kind
     if k is LayerKind.LINEAR:
         return layers.linear_forward(x, p["weight"], p["bias"])
     if k is LayerKind.CONV2D:
-        return layers.conv_forward(x, p["weight"], p["bias"], spec.dims[4], spec.dims[5])
+        if keep:
+            return layers.conv_forward(x, p["weight"], p["bias"], spec.dims[4], spec.dims[5])
+        out = conv2d(x, p["weight"], spec.dims[4], spec.dims[5])
+        out += p["bias"].reshape(1, -1, 1, 1)
+        return out, None
     if k is LayerKind.BATCHNORM2D:
         return layers.bn_forward(x, p["weight"], p["bias"], p["running_mean"],
-                                 p["running_var"], mode)
+                                 p["running_var"], mode, overwrite_x=overwrite_x)
     if k is LayerKind.MAXPOOL2D:
         return layers.maxpool_forward(x, spec.dims[0])
     if k is LayerKind.FLATTEN:
         return layers.flatten_forward(x)
-    return layers.relu_forward(x)
+    return layers.relu_forward(x, overwrite_x=overwrite_x)
 
 
 def forward_cached(net: Network, batch: Array, mode: Mode = "eval"):
@@ -270,12 +278,18 @@ def forward_cached(net: Network, batch: Array, mode: Mode = "eval"):
 def forward(net: Network, batch: Array, mode: Mode = "eval") -> Array:
     """Run the chain and return logits (batch_size x num_classes).
 
-    Each layer's cache is dropped as soon as the layer returns; only
-    `forward_cached` keeps them.
+    No cache is kept, so each activation lives only until the next layer
+    has read it. A conv unfolds its input a slice of rows at a time
+    (`tensor.conv2d`), and BatchNorm and ReLU write their output into their
+    input's buffer when this pass allocated it: never into `batch` or a
+    view of it, such as a leading Flatten's output. The logits are
+    bit-identical to `forward_cached`'s.
     """
     x = np.ascontiguousarray(batch, dtype=np.float32)
+    owned = False
     for spec, p in zip(net.specs, net.params):
-        x = _layer_forward(spec, p, x, mode)[0]
+        x = _layer_forward(spec, p, x, mode, keep=False, overwrite_x=owned)[0]
+        owned = owned or spec.kind is not LayerKind.FLATTEN
     return x
 
 
@@ -286,7 +300,8 @@ def backprop(net: Network, caches: list, dlogits: Array) -> list[dict[str, Array
     is not computed, since no earlier layer reads it. Every gradient after
     `dlogits` is a buffer this pass allocated, so ReLU and BatchNorm write
     their input gradient into it instead of into a new one; `dlogits` itself
-    is only read.
+    is only read. Each layer's cache is popped off `caches` as its backward
+    runs, so it is freed once used, and `caches` is left empty.
     """
     grads: list[dict[str, Array]] = [{} for _ in net.specs]
     first = min(i for i, s in enumerate(net.specs) if s.kind in PARAM_ORDER)
@@ -295,20 +310,21 @@ def backprop(net: Network, caches: list, dlogits: Array) -> list[dict[str, Array
         k = net.specs[i].kind
         owned = dx is not dlogits
         if k is LayerKind.LINEAR:
-            dx, dw, db = layers.linear_backward(dx, caches[i], input_grad=i > first)
+            dx, dw, db = layers.linear_backward(dx, caches.pop(), input_grad=i > first)
             grads[i] = {"weight": dw, "bias": db}
         elif k is LayerKind.CONV2D:
-            dx, dw, db = layers.conv_backward(dx, caches[i], input_grad=i > first)
+            dx, dw, db = layers.conv_backward(dx, caches.pop(), input_grad=i > first)
             grads[i] = {"weight": dw, "bias": db}
         elif k is LayerKind.BATCHNORM2D:
-            dx, dw, db = layers.bn_backward(dx, caches[i], overwrite_dout=owned)
+            dx, dw, db = layers.bn_backward(dx, caches.pop(), overwrite_dout=owned)
             grads[i] = {"weight": dw, "bias": db}
         elif k is LayerKind.MAXPOOL2D:
-            dx = layers.maxpool_backward(dx, caches[i])
+            dx = layers.maxpool_backward(dx, caches.pop())
         elif k is LayerKind.FLATTEN:
-            dx = layers.flatten_backward(dx, caches[i])
+            dx = layers.flatten_backward(dx, caches.pop())
         else:
-            dx = layers.relu_backward(dx, caches[i], overwrite_dout=owned)
+            dx = layers.relu_backward(dx, caches.pop(), overwrite_dout=owned)
+    caches.clear()
     return grads
 
 

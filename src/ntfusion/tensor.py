@@ -108,18 +108,36 @@ def _col2im(cols: Array, x_shape: tuple, kh: int, kw: int, stride: int, padding:
     return np.ascontiguousarray(grad)
 
 
+# Batch rows per im2col slice in `conv2d`.
+_CONV_ROWS = 64
+
+
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Array:
     """Batched 2-D cross-correlation with zero padding.
 
     ``x`` has shape (batch, in_ch, H, W) and ``kernel`` (out_ch, in_ch, kh, kw);
     the output spatial size is floor((H + 2*padding - kh) / stride) + 1.
+
+    The im2col columns and the GEMM run _CONV_ROWS batch rows at a time, each
+    slice written into one preallocated output, so the columns never exist for
+    more than one slice. The batched GEMM computes each row on its own, so the
+    result is bit-identical to `_conv2d_cols`'s, which unfolds the whole batch.
     """
-    return _conv2d_cols(x, kernel, stride, padding)[0]
+    x, k, out_h, out_w = _conv_args(x, kernel, stride, padding)
+    b, o = x.shape[0], k.shape[0]
+    out = np.empty((b, o, out_h * out_w), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # _checked rejects non-finite
+        for s in range(0, b, _CONV_ROWS):
+            rows = slice(s, s + _CONV_ROWS)
+            # The slice's columns are freed before the next slice's are built.
+            np.matmul(k.reshape(o, -1), _im2col(x[rows], *k.shape[2:], stride, padding),
+                      out=out[rows])
+    return _checked(out.reshape(b, o, out_h, out_w), "conv2d")
 
 
-def _conv2d_cols(x, kernel, stride: int, padding: int) -> tuple[Array, Array]:
-    """conv2d that also returns the im2col columns it multiplied, for a
-    backward pass to reuse."""
+def _conv_args(x, kernel, stride: int, padding: int) -> tuple[Array, Array, int, int]:
+    """(x, kernel, out_h, out_w) of a conv, both operands as float32, after
+    every shape and argument check."""
     x = as_f32(x)
     k = as_f32(kernel)
     if x.ndim != 4 or k.ndim != 4:
@@ -130,16 +148,22 @@ def _conv2d_cols(x, kernel, stride: int, padding: int) -> tuple[Array, Array]:
         raise InvalidArg("stride must be >= 1")
     if padding < 0:
         raise InvalidArg("padding must be >= 0")
-    b, _, h, w = x.shape
-    o, _, kh, kw = k.shape
+    h, w = x.shape[2:]
+    kh, kw = k.shape[2:]
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeMismatch(f"kernel {kh}x{kw} exceeds padded input {h + 2 * padding}x{w + 2 * padding}")
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    cols = _im2col(x, kh, kw, stride, padding)
+    return x, k, (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+
+
+def _conv2d_cols(x, kernel, stride: int, padding: int) -> tuple[Array, Array]:
+    """conv2d that also returns the im2col columns of the whole batch, for a
+    backward pass to reuse."""
+    x, k, out_h, out_w = _conv_args(x, kernel, stride, padding)
+    o = k.shape[0]
+    cols = _im2col(x, *k.shape[2:], stride, padding)
     with np.errstate(over="ignore", invalid="ignore"):  # _checked rejects non-finite
         out = np.matmul(k.reshape(o, -1), cols)
-    return _checked(np.ascontiguousarray(out.reshape(b, o, out_h, out_w)), "conv2d"), cols
+    return _checked(out.reshape(x.shape[0], o, out_h, out_w), "conv2d"), cols
 
 
 def row_l2_norms(w, bias=None) -> Array:

@@ -26,6 +26,12 @@ class StepDecay:
     period: int
     factor: float
 
+    def __post_init__(self) -> None:
+        if self.period < 1:
+            raise InvalidArg("schedule period must be >= 1")
+        if self.factor <= 0:
+            raise InvalidArg("schedule factor must be positive")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -33,7 +39,7 @@ class TrainConfig:
     lr: float
     momentum: float = 0.9
     schedule: Optional[StepDecay] = None
-    batch: BatchPlan = BatchPlan(batch_size=256)
+    batch: BatchPlan = BatchPlan(batch_size=64)
 
     def __post_init__(self) -> None:
         if self.lr <= 0:

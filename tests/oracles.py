@@ -203,12 +203,13 @@ def conv_backward(dout: Array, cache):
 
 
 def bn_forward(x: Array, weight: Array, bias: Array, running_mean: Array,
-               running_var: Array, mode: str):
+               running_var: Array, mode: str, *, overwrite_x: bool = False):
     """Per-channel batch norm over a (batch, ch, H, W) tensor.
 
     Train mode normalizes with biased batch statistics and updates the
     running buffers in place (unbiased variance, momentum 0.1). Eval mode
-    uses the frozen running statistics and mutates nothing.
+    uses the frozen running statistics and mutates nothing. `overwrite_x`
+    only permits reusing x's buffer: this slow path allocates every array.
     """
     if mode == "train":
         n = x.shape[0] * x.shape[2] * x.shape[3]

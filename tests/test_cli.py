@@ -14,7 +14,7 @@ from ntfusion.cli import cli_dispatch
 from ntfusion.experiments import build_arch
 from ntfusion.fusion import concat_fuse
 from ntfusion.tensor import RngStream
-from ntfusion.training import KdConfig
+from ntfusion.training import History, KdConfig
 from oracles import assert_same_network
 from test_data import write_idx_pair
 from test_fusion import conv57_specs, make_members
@@ -182,6 +182,18 @@ class TestPlumbing:
                     "--out", workdir / "kd.ckpt"]) == 0
         assert (workdir / "kd.ckpt").exists()
 
+    def test_distill_trains_at_the_default_batch(self, workdir, capsys, monkeypatch):
+        """`ntfuse distill` has no batch flag, so it trains at TrainConfig's
+        default batch, the one a spec's train block defaults to."""
+        run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"])
+        seen = []
+        monkeypatch.setattr(cli, "distill", lambda student, t, tr, te, cfg, kd:
+                            seen.append(cfg) or (student, History()))
+        assert run(["distill", "--student", workdir / "a.ckpt",
+                    "--teachers", workdir / "a.ckpt", workdir / "a.ckpt",
+                    "--data", workdir / "data.json", "--out", workdir / "kd.ckpt"]) == 0
+        assert [cfg.batch.batch_size for cfg in seen] == [64]
+
     def test_inline_json_data_descriptor(self, workdir, capsys):
         run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"])
         desc = (workdir / "data.json").read_text()
@@ -304,6 +316,11 @@ REFUSED_BEFORE_TRAINING = [
     {"plan": {"finetune": {"epochs": 1, "batch": {"batch_size": 8, "shuffle_seed": 3}}}},
     # A schedule needs its period and factor; an empty one is not "no schedule".
     {"train": {"epochs": 1, "schedule": {}}},
+    # A period below 1 divides by zero or raises the rate; a factor <= 0 zeroes or flips it.
+    {"train": {"epochs": 1, "schedule": {"period": 0, "factor": 0.5}}},
+    {"train": {"epochs": 1, "schedule": {"period": -1, "factor": 0.5}}},
+    {"train": {"epochs": 1, "schedule": {"period": 1, "factor": 0.0}}},
+    {"plan": {"finetune": {"epochs": 1, "schedule": {"period": 1, "factor": -0.5}}}},
 ]
 
 
@@ -588,7 +605,7 @@ SPEC_KEYS = {
     ("train", "lr"): [0.5],
     ("train", "momentum"): [0.0],
     ("train", "batch"): [{"batch_size": 7, "drop_last": True}],
-    ("train", "schedule"): [{"period": 1, "factor": 0.5}],
+    ("train", "schedule"): [{"period": p, "factor": 0.5} for p in (1, 0, -1)],
     ("plan", "method"): ["nt", "avg", "align", "nt_iterative", "nt_recursive"],
     ("plan", "sparsity"): [0.5],
     ("plan", "pipeline"): ["merge_prune_ft", "merge_ft_prune_ft", "prune_merge_ft"],

@@ -1,5 +1,6 @@
 """Dataset ingestion, synthetic generation, and batching tests."""
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -149,6 +150,13 @@ class TestSynthShapes:
         b = synth_shapes(30, 5, image=10, noise=0.1, seed=11)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_fixed_call_digest(self):
+        """The benchmark's dataset call, pinned byte for byte: each glyph is
+        drawn once per call and reused, which must not move a pixel."""
+        ds = synth_shapes(2000, 10, image=16, noise=0.1, seed=1)
+        digest = hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest()
+        assert digest[:16] == "ffc94838108a4ab8"
 
     def test_class_balance(self):
         ds = synth_shapes(43, 6, seed=4)

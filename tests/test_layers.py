@@ -251,8 +251,9 @@ def assert_inputs_kept(fn, *args, **kwargs):
 
 class TestBufferOwnership:
     """Every public kernel reads its inputs and writes only new arrays;
-    only an explicit overwrite_dout hands dout's buffer over, and only
-    train-mode batch norm updates the running buffers."""
+    only an explicit overwrite_x or overwrite_dout hands x's or dout's
+    buffer over, and only train-mode batch norm updates the running
+    buffers."""
 
     KERNELS = {"linear_forward", "linear_backward", "conv_forward", "conv_backward",
                "bn_forward", "bn_backward", "maxpool_forward", "maxpool_backward",
@@ -310,6 +311,32 @@ class TestBufferOwnership:
         assert_inputs_kept(layers.flatten_backward, self.normal(rng, *out.shape), cache)
         out, cache = assert_inputs_kept(layers.relu_forward, x)
         assert_inputs_kept(layers.relu_backward, self.normal(rng, *out.shape), cache)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_overwrite_x(self, mode):
+        """With overwrite_x, batch norm and relu return x's own buffer holding
+        the bits the allocating call returns; batch norm then keeps no cache
+        and moves its running buffers as the allocating call does, and relu's
+        cache is that buffer."""
+        rng = np.random.default_rng(35)
+        x, weight, bias = self.normal(rng, 4, 3, 5, 5), self.normal(rng, 3), self.normal(rng, 3)
+        stats = [self.normal(rng, 3), rng.uniform(0.5, 2, 3).astype(np.float32)]
+        want_stats = [s.copy() for s in stats]
+        want, _ = layers.bn_forward(x, weight, bias, *want_stats, mode)
+        owned = x.copy()
+        got, cache = layers.bn_forward(owned, weight, bias, *stats, mode, overwrite_x=True)
+        assert got is owned and cache is None
+        assert_bits_equal(got, want)
+        for s, w in zip(stats, want_stats):
+            assert_bits_equal(s, w)
+
+        x = tie_heavy(rng, (2, 3, 4, 4))
+        want, want_cache = layers.relu_forward(x)
+        assert want_cache is want
+        owned = x.copy()
+        got, cache = layers.relu_forward(owned, overwrite_x=True)
+        assert got is owned and cache is owned
+        assert_bits_equal(got, want)
 
 
 BACKPROP_NETS = {

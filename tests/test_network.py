@@ -4,6 +4,7 @@ Gradient correctness is checked against a central finite-difference oracle
 (eps=1e-3, relative tolerance 1e-3 at float32 scale).
 """
 
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ntfusion import network as nw
 from ntfusion.errors import InvalidArg, ShapeMismatch, UnsupportedTopology
+from ntfusion.experiments import build_arch
 from ntfusion.losses import cross_entropy, log_softmax
 from ntfusion.layers import flatten_forward
 from ntfusion.network import (
@@ -103,7 +105,110 @@ class TestForward:
             forward(net, np.zeros((2, 5), dtype=np.float32))
 
 
+class TestForwardOwnership:
+    """The cacheless `forward` overwrites only activations it allocated, and
+    its logits and running buffers are bit-identical to `forward_cached`'s,
+    which overwrites nothing and unfolds each conv's whole batch at once."""
+
+    NETS = {
+        "relu-first": ([nw.relu(), nw.linear(6, 4), nw.relu(), nw.linear(4, 3)], (5, 6)),
+        "flatten-relu": ([nw.flatten(), nw.relu(), nw.linear(18, 4), nw.relu(), nw.linear(4, 3)],
+                         (5, 2, 3, 3)),
+        "mlp": (mlp_specs([6, 8, 7, 3]), (5, 6)),
+        "convnet": (small_convnet_specs(), (70, 1, 8, 8)),  # 70 rows: two conv slices
+    }
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_batch_kept_and_outputs_bit_identical(self, name, mode):
+        specs, shape = self.NETS[name]
+        net = random_convnet(20) if name == "convnet" else init_network(specs, RngStream(20))
+        x = RngStream(21, "test/x").normal(shape)  # mixed signs: an in-place ReLU would show
+        kept = x.copy()
+        cached = net.clone()
+        want, _ = nw.forward_cached(cached, x, mode)
+        got = forward(net, x, mode)
+        assert x.tobytes() == kept.tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert_same_network(net, cached)
+
+
+class TestActivationMemory:
+    """Peak bytes `tracemalloc` sees on the benchmark's convnet (16x16
+    glyphs, conv [16, 32] with BatchNorm, hidden 64), against bounds written
+    from its activation shapes. Numpy reports its array buffers to
+    tracemalloc."""
+
+    ARCH = {"type": "convnet", "image_hw": [16, 16], "in_channels": 1,
+            "conv_channels": [16, 32], "batchnorm": True, "hidden": [64], "classes": 10}
+
+    @staticmethod
+    def sizes(specs, rows, hw):
+        """Bytes of each layer's output, and of each conv's im2col columns,
+        at `rows` rows of hw x hw input."""
+        c, h, w = specs[0].dims[0], hw, hw
+        outs, cols = [], []
+        for s in specs:
+            if s.kind is nw.LayerKind.CONV2D:
+                cin, c, kh, kw, stride, pad = s.dims
+                h, w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+                cols.append(4 * rows * cin * kh * kw * h * w)
+            elif s.kind is nw.LayerKind.MAXPOOL2D:
+                h, w = h // s.dims[0], w // s.dims[0]
+            elif s.kind is nw.LayerKind.FLATTEN:
+                c, h, w = c * h * w, 1, 1
+            elif s.kind is nw.LayerKind.LINEAR:
+                c = s.dims[1]
+            outs.append(4 * rows * c * h * w)
+        return outs, cols
+
+    @staticmethod
+    def peak(fn):
+        fn()  # one untraced call first: only the steady state is measured
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_eval_forward(self):
+        """256 rows, as `evaluate` runs: at most 1.5 x the largest activation
+        plus one 64-row column buffer. Only a layer's input and output live
+        together, a 2x2 pool's output is a quarter of its input, and
+        BatchNorm and ReLU allocate nothing."""
+        net = init_network(build_arch(self.ARCH), RngStream(1, "test/mem"))
+        x = RngStream(2, "test/mem-x").normal((256, 1, 16, 16))
+        outs, _ = self.sizes(net.specs, 256, 16)
+        _, cols = self.sizes(net.specs, 64, 16)
+        assert self.peak(lambda: forward(net, x, "eval")) <= 1.5 * max(outs) + max(cols)
+
+    def test_train_step(self):
+        """A 64-row `backward`: at most every layer's output once and every
+        conv's columns once, plus one more copy of the largest columns, the
+        transposed copy dW's tensordot makes."""
+        net = init_network(build_arch(self.ARCH), RngStream(1, "test/mem"))
+        x = RngStream(3, "test/mem-x").normal((64, 1, 16, 16))
+        y = np.arange(64) % 10
+        outs, cols = self.sizes(net.specs, 64, 16)
+
+        def step():
+            nw.backward(net, x, lambda z: cross_entropy(z, y))
+
+        assert self.peak(step) <= sum(outs) + sum(cols) + max(cols)
+
+
 class TestBackward:
+    def test_backprop_consumes_caches(self):
+        """Each cache is popped as its layer's backward runs; those of layers
+        below the first one with parameters are dropped at the end."""
+        for specs, shape in [(small_convnet_specs(), (4, 1, 8, 8)),
+                             TestForwardOwnership.NETS["flatten-relu"]]:
+            net = init_network(specs, RngStream(22))
+            logits, caches = nw.forward_cached(net, RngStream(23).normal(shape), "train")
+            nw.backprop(net, caches, cross_entropy(logits, np.arange(shape[0]) % 3)[1])
+            assert caches == []
+
     def test_zero_weight_bias_gradient_is_softmax_minus_onehot(self):
         net = Network([nw.linear(3, 3)],
                       [{"weight": np.zeros((3, 3), dtype=np.float32),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntfusion.errors import NonFiniteTensor, ShapeMismatch
-from ntfusion.tensor import RngStream, conv2d, matmul, row_l2_norms
+from ntfusion.tensor import RngStream, _conv2d_cols, conv2d, matmul, row_l2_norms
 
 from oracles import conv2d_oracle, matmul_oracle, rel_error
 
@@ -90,6 +90,23 @@ class TestConv2d:
             k = rng.normal((o, c, kh, kw))
             assert rel_error(conv2d(x, k, stride, padding),
                              conv2d_oracle(x, k, stride, padding)) <= 1e-5
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("cin,cout,k,stride,padding,hw", [
+        (16, 32, 3, 1, 1, 8),  # the benchmark convnet's second conv
+        (3, 1, 3, 2, 0, 7),    # one filter: a GEMV per row
+        (2, 3, 4, 1, 0, 4),    # one output pixel per row
+    ])
+    def test_row_slices_bit_identical_to_whole_batch(self, rows, cin, cout, k, stride, padding,
+                                                      hw):
+        """conv2d unfolds 64 rows at a time; _conv2d_cols unfolds the whole batch."""
+        rng = RngStream(15, "test/conv-rows")
+        x = rng.normal((rows, cin, hw, hw))
+        kernel = rng.normal((cout, cin, k, k))
+        got = conv2d(x, kernel, stride, padding)
+        want = _conv2d_cols(x, kernel, stride, padding)[0]
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
     def test_channel_disagreement(self):
         with pytest.raises(ShapeMismatch):

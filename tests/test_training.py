@@ -6,7 +6,7 @@ import pytest
 from ntfusion import network as nw, training
 from ntfusion.data import BatchPlan, synth_blobs, synth_shapes, train_test_split
 from ntfusion.errors import InvalidArg, NonFiniteLoss, ShapeMismatch
-from ntfusion.experiments import ensemble_accuracy
+from ntfusion.experiments import _TRAIN, ensemble_accuracy
 from ntfusion.losses import cross_entropy, kd as kd_loss_and_grad
 from ntfusion.network import Network, init_network
 from ntfusion.tensor import RngStream
@@ -118,6 +118,17 @@ class TestTrain:
     def test_step_decay_schedule(self):
         cfg = TrainConfig(epochs=5, lr=0.8, schedule=StepDecay(period=2, factor=0.5))
         assert [cfg.lr_at(e) for e in range(5)] == [0.8, 0.8, 0.4, 0.4, 0.2]
+
+    @pytest.mark.parametrize("period,factor", [(0, 0.5), (-1, 0.5), (1, 0.0), (2, -0.5)])
+    def test_step_decay_refuses_bad_period_and_factor(self, period, factor):
+        """A period below 1 divides by zero or raises the rate; a factor at
+        or below zero zeroes or flips it."""
+        with pytest.raises(InvalidArg, match="schedule"):
+            StepDecay(period, factor)
+
+    def test_default_batch_is_the_spec_default(self):
+        assert TrainConfig(epochs=1, lr=0.1).batch == BatchPlan(batch_size=64)
+        assert _TRAIN.batch == TrainConfig(epochs=1, lr=0.1).batch
 
     @pytest.mark.parametrize("n,plan", [(0, BatchPlan(batch_size=4)),
                                         (3, BatchPlan(batch_size=4, drop_last=True))])

@@ -8,10 +8,10 @@ per claim the spec, seeds, margins (rounded to 1e-6), mean, `wins` (margins
 claim fails. It writes no wall time, so reruns write identical bytes.
 
 Specs (dataset seed 93, seeds 1-5, momentum 0.9, batch 64, no LR schedule):
-- compare.json: NT, averaging and align (the exact OT fusion of Singh & Jaggi,
-  arXiv 1910.05653, for equal widths) of two MLPs 16-3x64-10 trained 25 epochs
-  at lr 0.05 on 2400 blobs, then 30 fine-tune epochs at lr 0.01 (epoch 3 of
-  these is a 3-epoch fine-tune).
+- compare.json: NT, averaging and align (member 1 matched to anchor member 0,
+  the exact OT fusion of Singh & Jaggi, arXiv 1910.05653, for equal widths) of
+  two MLPs 16-3x64-10 trained 25 epochs at lr 0.05 on 2400 blobs, then 30
+  fine-tune epochs at lr 0.01 (epoch 3 of these is a 3-epoch fine-tune).
 - sweep.json: `transplant_fraction` p in {0, 0.5, 1}, MLPs 16-64-10, 3 epochs.
 - multimodel.json: joint and iterative NT of k in {2, 4, 8} MLPs 16-3x256-10.
 - failure.json: NT of an MLP 12-3x64-6 with its copy on 1600 blobs, tuned 3

@@ -90,7 +90,8 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
 
     Text that is not UTF-8, a non-numeric cell, a value that is not a finite
     float32, a row whose width differs from the first data row's, or a
-    label outside [0, 2**31) raises InvalidArg naming the path and line.
+    label that is not a whole number in [0, 2**31) raises InvalidArg naming
+    the path and line.
     """
     blob = Path(path).read_bytes()
     try:
@@ -120,7 +121,7 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
                 raise InvalidArg(f"{where}: {len(values)} columns, the first data row has "
                                  f"{len(features[0]) + 1}")
             label = int(values[-1])
-            if not 0 <= label < 2**31:
+            if label != values[-1] or not 0 <= label < 2**31:
                 raise InvalidArg(f"{where}: label {row[-1]!r} is not a class index")
             features.append(values[:-1])
             labels.append(label)

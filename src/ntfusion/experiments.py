@@ -10,6 +10,7 @@ order, and times each record.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -67,7 +68,10 @@ def _given(doc: dict, **kinds) -> dict:
 
 
 def _is_kind(value, kind: type) -> bool:
-    return isinstance(value, _JSON_KINDS[kind]) and (kind is bool or not isinstance(value, bool))
+    """JSON has no NaN or Infinity, which Python's `json` parses: a float is
+    finite, and an integer given for one converts to a finite float."""
+    return (isinstance(value, _JSON_KINDS[kind]) and (kind is bool or not isinstance(value, bool))
+            and (kind is not float or abs(value) <= sys.float_info.max))
 
 
 def _items(values: list, kind: type, what: str) -> list:
@@ -439,11 +443,9 @@ def failure_case(spec: ExperimentSpec) -> RunReport:
 
 def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
                     kd: KdConfig | None = None) -> list[RunReport]:
-    """NT against vanilla averaging and assignment-based align-and-average
-    (k=2), with an optional distillation arm per method."""
+    """NT against vanilla averaging and assignment-based align-and-average,
+    with an optional distillation arm per method."""
     _distinct(methods, "fusion methods")
-    if spec.k != 2 and "align" in methods:
-        raise InvalidArg("align baseline is limited to k=2")
     labels = list(methods) + ([f"{m}+distill" for m in methods] if kd else [])
 
     def cells(bundle, member_accs, data, seed):

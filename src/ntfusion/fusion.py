@@ -21,8 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ArchMismatch, InvalidArg
 from .network import Network, hidden_couplings
-from .pruning import (KeepPolicy, _ranked_order, _unit_columns, gather_units, permute_units,
-                      prune_concat)
+from .pruning import KeepPolicy, _ranked_order, _unit_columns, gather_units, prune_concat
 from .tensor import row_l2_norms
 
 
@@ -110,33 +109,34 @@ def vanilla_average(bundle: EnsembleBundle) -> Network:
     return out
 
 
-def align_average(a: Network, b: Network) -> Network:
-    """Permute b's units layer by layer to best match a, then average.
+def align_average(anchor: Network, *others: Network) -> Network:
+    """Permute each other network's units layer by layer to best match the
+    anchor, then average the anchor and the aligned networks in member order:
+    one-anchor alignment, as in OT fusion of k models.
 
     Matching minimizes the total squared distance between incoming weight
-    rows (with the previous layer's permutation already applied to b's input
+    rows (with the previous layer's permutation already applied to the input
     side) using an exact balanced assignment. A simplified stand-in for
     transport-based alignment baselines.
     """
-    if a.arch_id != b.arch_id:
-        raise ArchMismatch("align_average needs identical architectures")
-    orders: dict[int, np.ndarray] = {}
-    inputs = None  # b's input columns of the current layer, in the order chosen so far
-    for c in hidden_couplings(a):
-        w_b = b.params[c.layer]["weight"]
-        if inputs is not None:
-            w_b = w_b.take(inputs, axis=1)
-        rows_a = a.params[c.layer]["weight"].reshape(c.units, -1).astype(np.float64)
-        rows_b = w_b.reshape(c.units, -1).astype(np.float64)
-        cost = (rows_a * rows_a).sum(axis=1)[:, None] + (rows_b * rows_b).sum(axis=1)[None, :]
-        cross = rows_a @ rows_b.T
-        cross *= 2.0
-        cost -= cross  # |a|^2 + |b|^2 - 2 a.b, built in place to keep the peak low
-        del rows_a, rows_b, cross  # freed before the assignment allocates its own buffers
-        _, order = linear_sum_assignment(cost)
-        orders[c.layer] = order
-        inputs = _unit_columns(order, c.block)
-    return vanilla_average(EnsembleBundle([a, permute_units(b, orders)]))
+    EnsembleBundle([anchor, *others])  # refuses mismatched architectures
+    couplings = hidden_couplings(anchor)
+    aligned = [anchor]
+    for b in others:
+        orders, inputs = [], slice(None)  # inputs: b's input columns, in the order chosen so far
+        for c in couplings:
+            w_b = b.params[c.layer]["weight"][:, inputs]
+            rows_a = anchor.params[c.layer]["weight"].reshape(c.units, -1).astype(np.float64)
+            rows_b = w_b.reshape(c.units, -1).astype(np.float64)
+            cost = (rows_a * rows_a).sum(axis=1)[:, None] + (rows_b * rows_b).sum(axis=1)[None, :]
+            cross = rows_a @ rows_b.T
+            cross *= 2.0
+            cost -= cross  # |a|^2 + |b|^2 - 2 a.b, built in place to keep the peak low
+            del rows_a, rows_b, cross  # freed before the assignment allocates its own buffers
+            orders.append(linear_sum_assignment(cost)[1])
+            inputs = _unit_columns(orders[-1], c.block)
+        aligned.append(gather_units([b], couplings, orders))
+    return vanilla_average(EnsembleBundle(aligned))
 
 
 def transplant_fraction(recipient: Network, donor: Network, p: float) -> Network:
@@ -224,7 +224,7 @@ def fuse_recursive(bundle: EnsembleBundle) -> Network:
 def fuse(bundle: EnsembleBundle, plan: FusionPlan) -> Network:
     """Dispatch on plan.method and, for `nt`, on plan.pipeline: only
     `experiments.run_pipeline` fine-tunes the wide model `merge_ft_prune_ft`
-    needs, so `fuse` refuses it. `align` requires exactly two members."""
+    needs, so `fuse` refuses it."""
     if plan.method == "nt":
         if plan.pipeline == "merge_ft_prune_ft":
             raise InvalidArg("merge_ft_prune_ft fine-tunes the wide model: run it as a pipeline")
@@ -238,6 +238,5 @@ def fuse(bundle: EnsembleBundle, plan: FusionPlan) -> Network:
         return fuse_recursive(bundle)
     if plan.method == "avg":
         return vanilla_average(bundle)
-    if bundle.k != 2:
-        raise InvalidArg("align fusion is defined for exactly two members")
-    return align_average(bundle.members[0], bundle.members[1])
+    _require_fusable(bundle)
+    return align_average(*bundle.members)

@@ -1,7 +1,8 @@
 """The members' layer-wise concatenation and the unit operations on it:
-pruning, reordering and placement (`fusion.transplant_fraction`). Each ranks
-units with `_ranked_order`, if it ranks, and moves them through `gather_units`,
-which moves a unit's row/filter, bias, BN channel and downstream inputs together.
+pruning, reordering (`fusion.align_average`) and placement
+(`fusion.transplant_fraction`). Each picks units, by `_ranked_order` or by
+align's assignment, and moves them through `gather_units`, which moves a
+unit's row/filter, bias, BN channel and downstream inputs together.
 
 `KeepPolicy` alone sets how many units each hidden layer keeps: by default one
 member's width, N // k of a layer's N units from k members, ranked jointly.
@@ -228,29 +229,6 @@ def gather_units(sources: Sequence[Network], couplings: Sequence[LayerCoupling],
         params.append({"weight": w, "bias": bias})
     check_specs(specs)
     return Network(specs, params)
-
-
-def permute_units(net: Network, orders: dict[int, np.ndarray]) -> Network:
-    """Reorder hidden layers' units: `orders` maps a hidden unit layer to its
-    new unit order, and each unit's row, bias, BN channel and next-layer
-    inputs move together, so the function the network computes is
-    unchanged. A one-source `gather_units` that keeps every unit, in the
-    given order or in place; origin labels follow."""
-    couplings = hidden_couplings(net)
-    widths = {c.layer: c.units for c in couplings}
-    kept = {}
-    for layer, order in orders.items():
-        if layer not in widths:
-            raise InvalidArg(f"layer {layer} is not a hidden unit layer")
-        kept[layer] = np.asarray(order, dtype=np.int64)
-        if sorted(kept[layer].tolist()) != list(range(widths[layer])):
-            raise InvalidArg("order must be a permutation of the layer's units")
-    out = gather_units([net], couplings,
-                       [kept.get(c.layer, np.arange(c.units)) for c in couplings])
-    if net.origins is not None:
-        out.origins = {layer: o[kept[layer]] if layer in kept else o.copy()
-                       for layer, o in net.origins.items()}
-    return out
 
 
 def prune_concat(sources: Sequence[Network], policy: KeepPolicy) -> Network:

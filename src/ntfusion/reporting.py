@@ -13,6 +13,7 @@ them once, from the reports its run holds, and no command reads them back.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,10 +93,10 @@ def report_rows(reports) -> list[tuple[str, str, int, int, str, float]]:
 
 
 def write_csv(reports, path) -> None:
-    lines = [CSV_HEADER]
-    for exp, method, seed, epoch, metric, value in report_rows(reports):
-        lines.append(f"{exp},{method},{seed},{epoch},{metric},{fmt_float(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")  # minimal quoting: plain fields stay bare
+        w.writerow(CSV_HEADER.split(","))
+        w.writerows((*row[:5], fmt_float(row[5])) for row in report_rows(reports))
 
 
 def write_json(reports, path) -> None:

@@ -29,8 +29,8 @@ class StepDecay:
     def __post_init__(self) -> None:
         if self.period < 1:
             raise InvalidArg("schedule period must be >= 1")
-        if self.factor <= 0:
-            raise InvalidArg("schedule factor must be positive")
+        if not 0 < self.factor < np.inf:  # NaN fails the test too
+            raise InvalidArg("schedule factor must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class TrainConfig:
     batch: BatchPlan = BatchPlan(batch_size=64)
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise InvalidArg("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise InvalidArg("lr must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidArg("momentum must be in [0, 1)")
         if self.epochs < 0:
@@ -66,8 +66,8 @@ class KdConfig:
     soft_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise InvalidArg("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise InvalidArg("temperature must be positive and finite")
         if not 0.0 <= self.soft_weight <= 1.0:
             raise InvalidArg("soft_weight must be in [0, 1]")
 

@@ -603,9 +603,10 @@ def two_walk_couplings(net):
 
 
 def permute_units(net, layer_index, order):
-    """`permute_units` as it was before it became a one-source gather: copy
-    the network, then reindex the layer's rows, bias, BN channels and the
-    next layer's column blocks or channels by hand."""
+    """Reorder one hidden layer's units, so the network computes the same
+    function: copy the network, then reindex the layer's rows, bias, BN
+    channels, origin labels and the next layer's column blocks or channels by
+    hand."""
     order = np.asarray(order, dtype=np.int64)
     matching = [c for c in hidden_couplings(net) if c.layer == layer_index]
     if not matching:
@@ -630,21 +631,24 @@ def permute_units(net, layer_index, order):
     return out
 
 
-def align_average(a, b):
-    """`align_average` as it was before it permuted once through the gather:
-    permute b's layers one at a time, reading each layer's rows from the
-    network permuted so far."""
-    aligned = b
-    for coupling in hidden_couplings(a):
-        rows_a = a.params[coupling.layer]["weight"].reshape(coupling.units, -1)
-        rows_b = aligned.params[coupling.layer]["weight"].reshape(coupling.units, -1)
-        rows_a, rows_b = rows_a.astype(np.float64), rows_b.astype(np.float64)
-        sq_a = (rows_a * rows_a).sum(axis=1)[:, None]
-        sq_b = (rows_b * rows_b).sum(axis=1)[None, :]
-        cost = sq_a + sq_b - 2.0 * rows_a @ rows_b.T
-        _, order = linear_sum_assignment(cost)
-        aligned = permute_units(aligned, coupling.layer, order)
-    return vanilla_average(EnsembleBundle([a, aligned]))
+def align_average(a, *others):
+    """`align_average` as it was before it permuted once through the gather,
+    with one anchor: permute each other network's layers one at a time toward
+    `a`, reading each layer's rows from the network permuted so far, then
+    average `a` and the aligned networks in member order."""
+    members = [a]
+    for aligned in others:
+        for coupling in hidden_couplings(a):
+            rows_a = a.params[coupling.layer]["weight"].reshape(coupling.units, -1)
+            rows_b = aligned.params[coupling.layer]["weight"].reshape(coupling.units, -1)
+            rows_a, rows_b = rows_a.astype(np.float64), rows_b.astype(np.float64)
+            sq_a = (rows_a * rows_a).sum(axis=1)[:, None]
+            sq_b = (rows_b * rows_b).sum(axis=1)[None, :]
+            cost = sq_a + sq_b - 2.0 * rows_a @ rows_b.T
+            _, order = linear_sum_assignment(cost)
+            aligned = permute_units(aligned, coupling.layer, order)
+        members.append(aligned)
+    return vanilla_average(EnsembleBundle(members))
 
 
 def transplant_fraction(recipient, donor, p):

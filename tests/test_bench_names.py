@@ -21,13 +21,18 @@ def _tree(name):
     return ast.parse((BENCH / name).read_text(encoding="utf-8"))
 
 
+def _assigned(name, var):
+    """The expression that bench/<name> assigns to the variable `var`."""
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == var for t in node.targets):
+            return node.value
+    raise AssertionError(f"bench/{name} defines no {var}")
+
+
 def _traced_names():
     """The keys of `spans.TRACED`: "<module>.<function>" in ntfusion."""
-    for node in ast.walk(_tree("spans.py")):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
-            return [ast.literal_eval(key) for key in node.value.keys]
-    raise AssertionError("bench/spans.py defines no TRACED")
+    return [ast.literal_eval(key) for key in _assigned("spans.py", "TRACED").keys]
 
 
 def _workload_bindings():
@@ -60,6 +65,15 @@ def _resolve(node, bindings):
 def test_traced_name_resolves(name):
     module, attr = name.split(".")
     assert callable(getattr(importlib.import_module(f"ntfusion.{module}"), attr))
+
+
+def test_workload_method_table_is_the_cli_s():
+    """The in-process fusion timings build `FusionPlan`s from
+    `workloads.CLI_TO_PLAN`, a copy of the CLI's method table: a method
+    renamed in one and not the other times the wrong fusion or none."""
+    from ntfusion import cli
+
+    assert ast.literal_eval(_assigned("workloads.py", "CLI_TO_PLAN")) == cli._METHODS
 
 
 def test_workload_calls_match_their_signatures():

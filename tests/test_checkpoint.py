@@ -17,7 +17,7 @@ from ntfusion.errors import (BadMagic, CorruptHeader, NTError, PayloadLengthMism
                              VersionUnsupported)
 from ntfusion.fusion import EnsembleBundle, concat_fuse, nt_fuse
 from ntfusion.network import init_network
-from ntfusion.pruning import KeepPolicy, magnitude_prune, permute_units
+from ntfusion.pruning import KeepPolicy, magnitude_prune
 from ntfusion.tensor import RngStream
 
 
@@ -217,8 +217,9 @@ def reversed_duplicate_concat():
     member = init_network([nw.linear(4, 5), nw.relu(), nw.linear(5, 7), nw.relu(),
                            nw.linear(7, 3)], RngStream(3, "dup"))
     big = concat_fuse(EnsembleBundle([member, member.clone()]))
-    return permute_units(big, {c.layer: np.arange(c.units)[::-1]
-                               for c in nw.hidden_couplings(big)})
+    for c in nw.hidden_couplings(big):
+        big = oracles.permute_units(big, c.layer, np.arange(c.units)[::-1])
+    return big
 
 
 class TestOrigins:

@@ -12,7 +12,7 @@ from ntfusion import network as nw
 from ntfusion.checkpoint import load_checkpoint, save_checkpoint
 from ntfusion.cli import cli_dispatch
 from ntfusion.experiments import build_arch
-from ntfusion.fusion import concat_fuse
+from ntfusion.fusion import align_average, concat_fuse
 from ntfusion.tensor import RngStream
 from ntfusion.training import History, KdConfig
 from oracles import assert_same_network
@@ -157,6 +157,16 @@ class TestPlumbing:
         small, _ = load_checkpoint(workdir / "small.ckpt")
         assert small.specs[1].dims == (4, 8)
 
+    def test_align_fuses_more_than_two_checkpoints(self, tmp_path, capsys):
+        bundle = make_members(conv57_specs(), 3, 18, randomize_bn=True)
+        paths = [tmp_path / f"m{j}.ckpt" for j in range(3)]
+        for member, path in zip(bundle.members, paths):
+            save_checkpoint(member, path)
+        assert run(["fuse", "--method", "align", "--in", *paths,
+                    "--out", tmp_path / "align.ckpt"]) == 0
+        assert_same_network(load_checkpoint(tmp_path / "align.ckpt")[0],
+                            align_average(*bundle.members))
+
     def test_pruning_a_saved_concatenation_is_nt(self, tmp_path, capsys):
         """A concatenation saved with its origins and pruned to one member's
         widths is what `fuse --method nt` writes from the members."""
@@ -181,6 +191,18 @@ class TestPlumbing:
                     "--soft-weight", "1", "--epochs", "1",
                     "--out", workdir / "kd.ckpt"]) == 0
         assert (workdir / "kd.ckpt").exists()
+
+    @pytest.mark.parametrize("flag", ["--lr", "--temperature"])
+    def test_distill_non_finite_setting_exits_2_before_distilling(self, workdir, capsys,
+                                                                  monkeypatch, flag):
+        run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"])
+        monkeypatch.setattr(cli, "ensemble_logits", lambda *a: pytest.fail("teachers ran"))
+        assert run(["distill", "--student", workdir / "a.ckpt",
+                    "--teachers", workdir / "a.ckpt", workdir / "a.ckpt",
+                    "--data", workdir / "data.json", flag, "nan",
+                    "--out", workdir / "kd.ckpt"]) == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not (workdir / "kd.ckpt").exists()
 
     def test_distill_trains_at_the_default_batch(self, workdir, capsys, monkeypatch):
         """`ntfuse distill` has no batch flag, so it trains at TrainConfig's
@@ -321,6 +343,13 @@ REFUSED_BEFORE_TRAINING = [
     {"train": {"epochs": 1, "schedule": {"period": -1, "factor": 0.5}}},
     {"train": {"epochs": 1, "schedule": {"period": 1, "factor": 0.0}}},
     {"plan": {"finetune": {"epochs": 1, "schedule": {"period": 1, "factor": -0.5}}}},
+    # JSON has no NaN or Infinity, but Python's json parses both.
+    {"train": {"epochs": 1, "lr": float("nan")}},
+    {"train": {"epochs": 1, "lr": float("inf")}},
+    {"train": {"epochs": 1, "lr": 10**400}},  # an integer no float holds
+    {"plan": {"finetune": {"epochs": 1, "schedule": {"period": 1, "factor": float("nan")}}}},
+    {"experiment": "compare", "kd": {"temperature": float("inf")}},
+    {"experiment": "sweep", "axis": "transplant_fraction", "values": [0.5, float("nan")]},
 ]
 
 

@@ -251,8 +251,10 @@ class TestCsvAndSplit:
         (b"0.5,1.5,inf\n", 1, "float32"),  # inf label
         (b"0.5,1.5,-1\n", 1, "class index"),  # negative label
         (b"1e300,1.5,0\n", 1, "float32"),  # feature beyond float32
+        (b"0.5,1.5,1\n0.5,1.5,1.5\n", 2, "class index"),  # fractional label
+        (b"0.5,1.5,-0.5\n", 1, "class index"),  # fractional label that truncates to 0
     ], ids=["non-numeric", "ragged", "not-utf8", "nan-label", "inf-label", "negative-label",
-            "float32-overflow"])
+            "float32-overflow", "fractional-label", "negative-fractional-label"])
     def test_malformed_rows_name_path_and_line(self, tmp_path, body, line, needle):
         p = tmp_path / "d.csv"
         p.write_bytes(body)

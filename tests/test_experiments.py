@@ -338,11 +338,16 @@ class TestCompareMethods:
         compare_methods(spec, kd=kd)
         assert forwards.count(train_rows) == passes * len(spec.seeds)
 
-    def test_align_requires_k2(self):
-        from ntfusion.errors import InvalidArg
+    def test_align_runs_at_k3(self):
+        reports = compare_methods(tiny_spec(k=3), methods=("align",))
+        assert [r.method for r in reports] == ["align"]
+        assert len(reports[0].records) == 2
 
-        with pytest.raises(InvalidArg):
-            compare_methods(tiny_spec(k=3))
+    def test_multimodel_spec_runs_align_at_every_k(self):
+        reports = run_spec(spec_doc(experiment="multimodel", methods=["nt", "align"], ks=[2, 3],
+                                    train={"epochs": 1}, finetune_epochs=1))
+        assert [(r.experiment, r.method) for r in reports] == [
+            ("doc-k2", "nt"), ("doc-k2", "align"), ("doc-k3", "nt"), ("doc-k3", "align")]
 
 
 def stream_spec(**kw):

@@ -29,7 +29,7 @@ from ntfusion.fusion import (
     vanilla_average,
 )
 from ntfusion.network import LayerKind, forward, init_network
-from ntfusion.pruning import (KeepPolicy, magnitude_prune, permute_units, prune_concat,
+from ntfusion.pruning import (KeepPolicy, gather_units, magnitude_prune, prune_concat,
                               prune_to_architecture)
 from ntfusion.tensor import RngStream, row_l2_norms
 
@@ -75,6 +75,14 @@ def make_members(specs, k, seed, randomize_bn=False, duplicates=False):
                     net.params[i]["running_var"] = rng.uniform((c,), 0.5, 2.0)
         members.append(net)
     return EnsembleBundle(members, list(range(k)))
+
+
+def reorder(net, orders):
+    """`net` with each hidden layer in `orders` (layer -> permutation) reordered
+    and the rest in place: a one-source `gather_units` of every unit."""
+    couplings = nw.hidden_couplings(net)
+    return gather_units([net], couplings, [np.asarray(orders.get(c.layer, np.arange(c.units)))
+                                           for c in couplings])
 
 
 def mean_member_outputs(members, x):
@@ -207,11 +215,14 @@ class TestVanillaAverage:
 
 
 class TestAlignAverage:
-    def test_permuted_copy_recovered_exactly(self):
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_permuted_copies_recovered_exactly(self, k):
+        """Every copy aligns back onto the anchor; k a power of two averages
+        k equal values exactly."""
         net = init_network(mlp_specs([5, 8, 6, 3]), RngStream(19, "a"))
-        permuted = permute_units(net, {0: RngStream(20).permutation(8),
-                                       2: RngStream(21).permutation(6)})
-        out = align_average(net, permuted)
+        copies = [reorder(net, {0: RngStream(20, j).permutation(8),
+                                2: RngStream(21, j).permutation(6)}) for j in range(k - 1)]
+        out = align_average(net, *copies)
         for a, b in zip(out.params, net.params):
             for key in a:
                 np.testing.assert_array_equal(a[key], b[key])
@@ -238,8 +249,8 @@ class TestAlignAverage:
 
     def test_conv_alignment_recovers_permutation(self):
         net = make_members(convnet_specs(), 1, seed=25, randomize_bn=True).members[0]
-        permuted = permute_units(net, {0: RngStream(26).permutation(3),
-                                       4: RngStream(27).permutation(4)})
+        permuted = reorder(net, {0: RngStream(26).permutation(3),
+                                 4: RngStream(27).permutation(4)})
         out = align_average(net, permuted)
         x = RngStream(28).normal((10, 1, 8, 8))
         assert rel_error(forward(out, x, "eval"), forward(net, x, "eval")) <= 1e-6
@@ -384,8 +395,9 @@ class TestReductionSchemes:
         out = fuse_iterative(bundle)
         assert out.arch_id == bundle.arch_id
 
-    def test_fuse_dispatch(self):
-        bundle = self.bundle_of(2, 45)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_fuse_dispatch(self, k):
+        bundle = self.bundle_of(k, 45)
         for method in ("nt", "nt_iterative", "nt_recursive", "avg", "align"):
             out = fuse(bundle, FusionPlan(method=method))
             assert out.arch_id == bundle.arch_id
@@ -604,10 +616,11 @@ def hidden_layers(net):
     return [c.layer for c in nw.hidden_couplings(net)]
 
 
-class TestPermuteUnitsMatchesOracle:
-    """`permute_units` is a one-source gather, and `align_average` permutes
-    once through it; both must be bit-identical to the hand-written
-    reindexing they replaced, origins included."""
+class TestReorderMatchesOracle:
+    """A one-source `gather_units` given permutations reorders units as the
+    hand-written reindexing does, and `align_average`, which aligns every
+    member to member 0 through that gather, matches its oracle at any k; both
+    bit for bit."""
 
     def orders(self, net, seed):
         return {layer: RngStream(seed, f"perm-{layer}").permutation(net.specs[layer].dims[1])
@@ -623,35 +636,18 @@ class TestPermuteUnitsMatchesOracle:
         net = make_members(PERMUTE_ARCHS[arch](), 1, 90, randomize_bn=True).members[0]
         orders = self.orders(net, 91)
         for layer, order in orders.items():
-            oracles.assert_same_network(permute_units(net, {layer: order}),
+            oracles.assert_same_network(reorder(net, {layer: order}),
                                         oracles.permute_units(net, layer, order))
-        oracles.assert_same_network(permute_units(net, orders),
-                                    self.sequential_oracle(net, orders))
+        oracles.assert_same_network(reorder(net, orders), self.sequential_oracle(net, orders))
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("arch", sorted(PERMUTE_ARCHS))
-    def test_origins_follow_the_permuted_layers(self, arch):
-        fused = concat_fuse(make_members(PERMUTE_ARCHS[arch](), 2, 92, randomize_bn=True))
-        orders = self.orders(fused, 93)
-        for layer, order in orders.items():
-            got = permute_units(fused, {layer: order})
-            oracles.assert_same_network(got, oracles.permute_units(fused, layer, order))
-            assert got.origins is not fused.origins
-        oracles.assert_same_network(permute_units(fused, orders),
-                                    self.sequential_oracle(fused, orders))
-
-    @pytest.mark.parametrize("arch", sorted(PERMUTE_ARCHS))
-    def test_align_average_matches_the_oracle(self, arch):
-        a, b = make_members(PERMUTE_ARCHS[arch](), 2, 94, randomize_bn=True).members
-        oracles.assert_same_network(align_average(a, b), oracles.align_average(a, b))
-        permuted = permute_units(a, self.orders(a, 95))
-        oracles.assert_same_network(align_average(a, permuted), oracles.align_average(a, permuted))
-
-    def test_bad_orders_rejected(self):
-        net = make_members(convnet_specs(), 1, 96).members[0]
-        with pytest.raises(InvalidArg):
-            permute_units(net, {0: [0, 0, 1]})
-        with pytest.raises(InvalidArg):
-            permute_units(net, {1: [0, 1, 2]})  # a BN layer owns no units
+    def test_align_average_matches_the_oracle(self, arch, k):
+        members = make_members(PERMUTE_ARCHS[arch](), k, 94, randomize_bn=True).members
+        oracles.assert_same_network(align_average(*members), oracles.align_average(*members))
+        a = members[0]
+        copies = [reorder(a, self.orders(a, 95 + j)) for j in range(k - 1)]
+        oracles.assert_same_network(align_average(a, *copies), oracles.align_average(a, *copies))
 
     @settings(max_examples=40, deadline=None)
     @given(arch=st.sampled_from(sorted(PERMUTE_ARCHS)), seed=st.integers(0, 10_000),
@@ -662,5 +658,4 @@ class TestPermuteUnitsMatchesOracle:
                                     unique=True))
         orders = {layer: data.draw(st.permutations(range(net.specs[layer].dims[1])))
                   for layer in layers}
-        oracles.assert_same_network(permute_units(net, orders),
-                                    self.sequential_oracle(net, orders))
+        oracles.assert_same_network(reorder(net, orders), self.sequential_oracle(net, orders))

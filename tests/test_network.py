@@ -23,11 +23,11 @@ from ntfusion.network import (
     hidden_couplings,
     init_network,
 )
-from ntfusion.pruning import permute_units
 from ntfusion.tensor import RngStream
 from ntfusion.training import KdConfig
 
 from oracles import assert_same_network, check_gradients, loss_fn, rel_error, two_walk_couplings
+from test_fusion import reorder
 
 
 def mlp_specs(dims):
@@ -405,20 +405,23 @@ class TestSingleWalk:
         assert [astuple(c) for c in check_specs(specs)] == [astuple(c) for c in want]
 
 
-class TestPermuteUnits:
+class TestReorderUnits:
+    """A one-source `gather_units` of every unit, the first hidden layer's
+    units permuted, computes the same function."""
+
     def test_function_preserved(self):
         net = random_convnet(13)
         x = RngStream(14).normal((3, 1, 8, 8))
         base = forward(net, x, "eval")
         order = RngStream(15).permutation(net.specs[0].dims[1])
-        permuted = permute_units(net, {0: order})
+        permuted = reorder(net, {0: order})
         assert rel_error(forward(permuted, x, "eval"), base) <= 1e-6
 
     def test_mlp_permutation_exact(self):
         net = init_network(mlp_specs([4, 8, 3]), RngStream(16, "perm"))
         x = RngStream(17).normal((5, 4))
         order = RngStream(18).permutation(8)
-        permuted = permute_units(net, {0: order})
+        permuted = reorder(net, {0: order})
         np.testing.assert_array_equal(
             permuted.params[0]["weight"], net.params[0]["weight"][order])
         assert rel_error(forward(permuted, x), forward(net, x)) <= 1e-6

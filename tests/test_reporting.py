@@ -1,5 +1,7 @@
 """Report schema, round-trip, aggregate, and SVG structure tests."""
 
+import csv
+
 import numpy as np
 
 from ntfusion.reporting import (
@@ -60,6 +62,18 @@ class TestCsv:
         for v in values:
             v32 = float(np.float32(v))
             assert float(np.float32(float(fmt_float(v32)))) == v32
+
+    def test_a_name_with_a_comma_quote_and_newline_stays_one_field(self, tmp_path):
+        rep = RunReport('a,"b"\nc', "nt")
+        rec = SeedRecord(seed=3)
+        rec.set_metric("immediate_acc", 0.5)
+        rep.records.append(rec)
+        path = tmp_path / "r.csv"
+        write_csv([rep], path)
+        with open(path, encoding="utf-8", newline="") as f:
+            header, row = csv.reader(f)
+        assert header == CSV_HEADER.split(",")
+        assert row == ['a,"b"\nc', "nt", "3", "0", "immediate_acc", "0.5"]
 
     def test_reemission_is_byte_identical(self, tmp_path):
         reports = sample_reports()

@@ -119,12 +119,21 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, lr=0.8, schedule=StepDecay(period=2, factor=0.5))
         assert [cfg.lr_at(e) for e in range(5)] == [0.8, 0.8, 0.4, 0.4, 0.2]
 
-    @pytest.mark.parametrize("period,factor", [(0, 0.5), (-1, 0.5), (1, 0.0), (2, -0.5)])
+    @pytest.mark.parametrize("period,factor", [(0, 0.5), (-1, 0.5), (1, 0.0), (2, -0.5),
+                                               (1, float("nan")), (1, float("inf"))])
     def test_step_decay_refuses_bad_period_and_factor(self, period, factor):
         """A period below 1 divides by zero or raises the rate; a factor at
-        or below zero zeroes or flips it."""
+        or below zero zeroes or flips it, and a non-finite one poisons it."""
         with pytest.raises(InvalidArg, match="schedule"):
             StepDecay(period, factor)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_and_temperature_refused(self, value):
+        """Refused at once, not later as a misleading `NonFiniteLoss`."""
+        with pytest.raises(InvalidArg, match="lr"):
+            TrainConfig(epochs=1, lr=value)
+        with pytest.raises(InvalidArg, match="temperature"):
+            KdConfig(temperature=value)
 
     def test_default_batch_is_the_spec_default(self):
         assert TrainConfig(epochs=1, lr=0.1).batch == BatchPlan(batch_size=64)

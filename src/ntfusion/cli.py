@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: train, fuse, prune, eval, distill, experiment. `experiment`
-writes report.csv, report.json, timings.json and, when a report has a
-fine-tune series, report.svg into its output directory.
+Subcommands: train, fuse, prune, eval, distill, experiment. `fuse` reads
+its members from disk as the method needs them, so averaging and the
+pairwise NT schemes hold a few members at a time, not all k; joint NT holds
+all k. `experiment` writes report.csv, report.json, timings.json and, when a
+report has a fine-tune series, report.svg into its output directory.
 Exit codes: 0 success, 1 usage error (synopsis on stderr), 2 runtime error.
 """
 
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import experiments, reporting
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointSequence, load_checkpoint, save_checkpoint
 from .errors import BadSpec, NTError, UsageError
 from .experiments import _TRAIN, _get, _train_config, build_arch, build_dataset
 from .fusion import EnsembleBundle, FusionPlan, fuse
@@ -129,7 +131,7 @@ def _cmd_fuse(args) -> int:
     if len(args.inputs) < 2:
         raise UsageError("fuse needs at least two input checkpoints (k >= 2)")
     plan = FusionPlan(method=_METHODS[args.method], sparsity=args.sparsity)
-    members = [load_checkpoint(p)[0] for p in args.inputs]
+    members = CheckpointSequence(args.inputs)  # each method loads a member as it reads it
     fused = fuse(EnsembleBundle(members), plan)
     save_checkpoint(fused, args.out, {"fused_from": list(args.inputs), "method": args.method})
     print(f"fused {len(members)} checkpoints with {args.method} -> {args.out}")

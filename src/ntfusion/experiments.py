@@ -98,10 +98,25 @@ def _object(doc, what: str) -> dict:
     return doc
 
 
+# The keys each dataset kind reads besides "kind"; any other key is refused, not ignored.
+_DATASET_KEYS = {
+    "idx": {"train_images", "train_labels", "test_images", "test_labels", "num_classes",
+            "limit_train", "limit_test"},
+    "blobs": {"n", "classes", "dim", "spread", "seed", "test_fraction"},
+    "shapes": {"n", "classes", "image", "noise", "seed", "test_fraction"},
+    "csv": {"path", "num_classes", "seed", "test_fraction"},
+}
+
+
 def build_dataset(desc: dict) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) from a JSON-able descriptor."""
     desc = _object(desc, "dataset descriptor")
     kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in _DATASET_KEYS:
+        raise InvalidArg(f"unknown dataset kind {kind!r}")
+    unread = sorted(set(desc) - _DATASET_KEYS[kind] - {"kind"})
+    if unread:
+        raise BadSpec(f"dataset kind {kind!r} never reads spec key {unread[0]!r}")
     if kind == "idx":
         num_classes = _get(desc, "num_classes", int, None)
         train_ds = load_idx(_get(desc, "train_images", str), _get(desc, "train_labels", str),
@@ -118,11 +133,9 @@ def build_dataset(desc: dict) -> tuple[Dataset, Dataset]:
         seed = _get(desc, "seed", int)
         ds = synth_shapes(_get(desc, "n", int), _get(desc, "classes", int), seed=seed,
                           **_given(desc, image=int, noise=float))
-    elif kind == "csv":
+    else:  # csv
         ds = load_csv(_get(desc, "path", str), _get(desc, "num_classes", int, None))
         seed = _get(desc, "seed", int, 0)
-    else:
-        raise InvalidArg(f"unknown dataset kind {kind!r}")
     return train_test_split(ds, _get(desc, "test_fraction", float, 0.25), seed)
 
 
@@ -211,8 +224,11 @@ class ExperimentSpec:
         default fine-tune, and an absent, null or empty key or block keeps it."""
         doc = _object(doc, "experiment spec")
         plan_doc = _get(doc, "plan", dict, {})
+        name = _get(doc, "name", str)
+        if "\r" in name:  # the report csv writes it bare, and a csv reader ends the row there
+            raise BadSpec(f"spec key 'name' must not hold a carriage return, got {name!r}")
         spec = ExperimentSpec(
-            name=_get(doc, "name", str),
+            name=name,
             dataset=_get(doc, "dataset", dict),
             arch=_get(doc, "arch", dict),
             train=_train_config(_get(doc, "train", dict, {}), _TRAIN),

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .checkpoint import CheckpointSequence
 from .errors import ArchMismatch, InvalidArg
 from .network import Network, hidden_couplings
 from .pruning import KeepPolicy, _ranked_order, _unit_columns, gather_units, prune_concat
@@ -27,15 +28,22 @@ from .tensor import row_l2_norms
 
 @dataclass
 class EnsembleBundle:
-    """k trained networks of identical architecture plus their seeds."""
+    """k trained networks of identical architecture plus their seeds.
 
-    members: list[Network]
+    `members` may be any sequence of networks. In a `CheckpointSequence`
+    each read of a member loads its file, so a method holds a member only
+    while it uses it; its architectures are checked from the file headers
+    alone, before any payload is read.
+    """
+
+    members: Sequence[Network]
     member_seeds: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.members:
             raise InvalidArg("bundle needs at least one member")
-        ids = {m.arch_id for m in self.members}
+        ids = set(self.members.arch_ids() if isinstance(self.members, CheckpointSequence)
+                  else (m.arch_id for m in self.members))
         if len(ids) != 1:
             raise ArchMismatch(f"members disagree on architecture: {sorted(ids)}")
         if not self.member_seeds:
@@ -96,16 +104,19 @@ def concat_fuse(bundle: EnsembleBundle) -> Network:
 
 def vanilla_average(bundle: EnsembleBundle) -> Network:
     """Uniform elementwise mean of every parameter tensor, running stats
-    included. Accumulation runs in member order for reproducibility."""
+    included. Each member is read once and its tensors all added before the
+    next member's, so only the running sum and one member are held; every
+    element still sums in member order, for reproducibility."""
     out = bundle.members[0].clone()
     out.origins = None
+    for m in bundle.members[1:]:
+        for acc, p in zip(out.params, m.params):
+            for key, v in acc.items():
+                v += p[key]
     scale = np.float32(1.0 / bundle.k)
-    for i, p in enumerate(out.params):
-        for key in p:
-            acc = p[key]
-            for m in bundle.members[1:]:
-                acc += m.params[i][key]
-            acc *= scale
+    for p in out.params:
+        for v in p.values():
+            v *= scale
     return out
 
 

@@ -240,7 +240,12 @@ def prune_concat(sources: Sequence[Network], policy: KeepPolicy) -> Network:
     single source's own labels), and gathered by `gather_units`; the output,
     origins included, is bit-identical to pruning the concatenated network.
     One source is plain structured pruning of it.
+
+    All k sources are held at once, even when `sources` loads each on read
+    (`checkpoint.CheckpointSequence`): the joint ranking reads every
+    source's norms before the gather reads any source's weights.
     """
+    sources = list(sources)  # each source read once
     couplings = hidden_couplings(sources[0])
     if policy.mode == "keep_counts" and len(policy.counts) != len(couplings):
         raise InvalidArg(f"need {len(couplings)} keep counts, got {len(policy.counts)}")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ntfusion import network as nw
-from ntfusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from ntfusion.checkpoint import MAGIC, CheckpointSequence, load_checkpoint, save_checkpoint
 from ntfusion.errors import (BadMagic, CorruptHeader, NTError, PayloadLengthMismatch,
                              VersionUnsupported)
 from ntfusion.fusion import EnsembleBundle, concat_fuse, nt_fuse
@@ -202,6 +202,19 @@ def conv_members(k, seed):
     specs = [nw.conv(1, 3, 3, padding=1), nw.batchnorm(3), nw.relu(), nw.maxpool(2),
              nw.flatten(), nw.linear(3 * 16, 5), nw.relu(), nw.linear(5, 3)]
     return [init_network(specs, RngStream(seed + j, "origins")) for j in range(k)]
+
+
+def test_checkpoint_sequence_loads_each_item_on_read(tmp_path):
+    nets = conv_members(3, 7)
+    paths = [tmp_path / f"m{j}.ntckpt" for j in range(3)]
+    for net, path in zip(nets, paths):
+        save_checkpoint(net, path)
+    seq = CheckpointSequence(paths)
+    assert len(seq) == 3 and seq.arch_ids() == [net.arch_id for net in nets]
+    assert isinstance(seq[1:], CheckpointSequence) and seq[1:].paths == tuple(paths[1:])
+    for net, loaded in zip(nets, seq):
+        assert_nets_equal(net, loaded)
+    assert seq[-1] is not seq[-1]  # nothing is cached
 
 
 def round_trip(net, tmp_path):

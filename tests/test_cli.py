@@ -1,18 +1,20 @@
 """CLI dispatch tests: exit codes, subcommand plumbing, output determinism."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ntfusion import cli, experiments, reporting
+from ntfusion import checkpoint, cli, experiments, reporting
 from ntfusion import network as nw
 from ntfusion.checkpoint import load_checkpoint, save_checkpoint
 from ntfusion.cli import cli_dispatch
 from ntfusion.experiments import build_arch
-from ntfusion.fusion import align_average, concat_fuse
+from ntfusion.fusion import FusionPlan, align_average, concat_fuse, fuse
 from ntfusion.tensor import RngStream
 from ntfusion.training import History, KdConfig
 from oracles import assert_same_network
@@ -55,17 +57,36 @@ class TestExitCodes:
         assert run(["report", "--in", tmp_path, "--format", "svg"]) == 1
         assert capsys.readouterr().err.startswith("usage: ntfuse")
 
-    def test_fuse_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", sorted(cli._METHODS))
+    def test_fuse_corrupt_checkpoint_exits_2(self, tmp_path, capsys, method):
+        """The corrupt file is the last input, read last by every method."""
         specs = [nw.linear(4, 6), nw.relu(), nw.linear(6, 3)]
-        paths = [tmp_path / f"m{i}.ckpt" for i in range(2)]
+        paths = [tmp_path / f"m{i}.ckpt" for i in range(2 if method == "align" else 3)]
         for i, path in enumerate(paths):
             save_checkpoint(nw.init_network(specs, RngStream(i, "init")), path)
-        blob = bytearray(paths[1].read_bytes())
+        blob = bytearray(paths[-1].read_bytes())
         blob[20] = 0xFF  # inside the JSON header: no longer UTF-8
-        paths[1].write_bytes(bytes(blob))
-        code = run(["fuse", "--method", "nt", "--in", *paths, "--out", tmp_path / "f.ckpt"])
+        paths[-1].write_bytes(bytes(blob))
+        code = run(["fuse", "--method", method, "--in", *paths, "--out", tmp_path / "f.ckpt"])
         assert code == 2
         assert "checkpoint header" in capsys.readouterr().err
+        assert not (tmp_path / "f.ckpt").exists()
+
+    def test_fuse_mismatched_architectures_exit_2_before_any_payload(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        """The architectures are checked from the headers: no member is loaded."""
+        paths = [tmp_path / f"m{i}.ckpt" for i in range(3)]
+        for i, (path, hidden) in enumerate(zip(paths, (6, 6, 7))):
+            specs = [nw.linear(4, hidden), nw.relu(), nw.linear(hidden, 3)]
+            save_checkpoint(nw.init_network(specs, RngStream(i, "init")), path)
+        loads = []
+        for module in (checkpoint, cli):
+            monkeypatch.setattr(module, "load_checkpoint",
+                                lambda path: loads.append(path) or load_checkpoint(path))
+        code = run(["fuse", "--method", "avg", "--in", *paths, "--out", tmp_path / "f.ckpt"])
+        assert code == 2
+        assert "disagree on architecture" in capsys.readouterr().err
+        assert loads == [] and not (tmp_path / "f.ckpt").exists()
 
     def test_runtime_error_is_exit_2(self, workdir, capsys):
         bad = workdir / "bad.ckpt"
@@ -167,6 +188,18 @@ class TestPlumbing:
         assert_same_network(load_checkpoint(tmp_path / "align.ckpt")[0],
                             align_average(*bundle.members))
 
+    @pytest.mark.parametrize("method", ["nt-iter", "nt-rec", "avg"])
+    def test_fuse_from_disk_equals_fuse_in_memory(self, tmp_path, capsys, method):
+        """Members loaded only as a method reads them fuse to the bits of
+        members held in memory (`nt` and `align`: the tests beside this one)."""
+        bundle = make_members(conv57_specs(), 3, 19, randomize_bn=True)
+        paths = [tmp_path / f"m{j}.ckpt" for j in range(3)]
+        for member, path in zip(bundle.members, paths):
+            save_checkpoint(member, path)
+        assert run(["fuse", "--method", method, "--in", *paths, "--out", tmp_path / "f.ckpt"]) == 0
+        assert_same_network(load_checkpoint(tmp_path / "f.ckpt")[0],
+                            fuse(bundle, FusionPlan(method=cli._METHODS[method])))
+
     def test_pruning_a_saved_concatenation_is_nt(self, tmp_path, capsys):
         """A concatenation saved with its origins and pruned to one member's
         widths is what `fuse --method nt` writes from the members."""
@@ -216,10 +249,60 @@ class TestPlumbing:
                     "--data", workdir / "data.json", "--out", workdir / "kd.ckpt"]) == 0
         assert [cfg.batch.batch_size for cfg in seen] == [64]
 
+    def test_data_key_its_kind_never_reads_exits_2(self, workdir, capsys):
+        arch = json.loads((workdir / "train.json").read_text())["arch"]
+        save_checkpoint(nw.init_network(build_arch(arch), RngStream(0, "init")),
+                        workdir / "a.ckpt")
+        desc = dict(json.loads((workdir / "data.json").read_text()), image=8)
+        assert run(["eval", "--in", workdir / "a.ckpt", "--data", json.dumps(desc)]) == 2
+        err = capsys.readouterr().err
+        assert "'image'" in err and "'blobs'" in err
+
     def test_inline_json_data_descriptor(self, workdir, capsys):
         run(["train", "--spec", workdir / "train.json", "--out", workdir / "a.ckpt"])
         desc = (workdir / "data.json").read_text()
         assert run(["eval", "--in", workdir / "a.ckpt", "--data", desc]) == 0
+
+
+class TestFuseMemory:
+    """Peak bytes `tracemalloc` sees in one `ntfuse fuse` of k random-init
+    MLPs, against bounds in units of one member's file size M (its
+    parameters plus a small header). Each method loads a member when it
+    reads it and frees it after, so only joint NT grows with k."""
+
+    ARCH = {"type": "mlp", "in_features": 256, "hidden": [256] * 3, "classes": 10}
+    BOUNDS = {
+        # the running sum, the member being added and the next one loading
+        "avg": lambda k: 4,
+        # the running result, the member being folded in, the next one loading, the step's output
+        "nt-iter": lambda k: 4,
+        # one partial result per tree level, plus one pairwise step's inputs and output
+        "nt-rec": lambda k: math.ceil(math.log2(k)) + 3,
+        # all k members (the joint ranking reads every member), the output and one layer's take
+        "nt": lambda k: k + 2,
+    }
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("members")
+        paths = [out / f"m{j}.ckpt" for j in range(8)]
+        for j, path in enumerate(paths):
+            net = nw.init_network(build_arch(self.ARCH), RngStream(j, "test/fuse-mem"))
+            save_checkpoint(net, path)
+        return paths
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("method", sorted(BOUNDS))
+    def test_peak(self, paths, tmp_path, capsys, method, k):
+        argv = ["fuse", "--method", method, "--in", *paths[:k], "--out", tmp_path / "f.ckpt"]
+        assert run(argv) == 0  # one untraced run first: only the steady state is measured
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.BOUNDS[method](k) * paths[0].stat().st_size
 
 
 class TestExperimentCommand:
@@ -350,6 +433,8 @@ REFUSED_BEFORE_TRAINING = [
     {"plan": {"finetune": {"epochs": 1, "schedule": {"period": 1, "factor": float("nan")}}}},
     {"experiment": "compare", "kd": {"temperature": float("inf")}},
     {"experiment": "sweep", "axis": "transplant_fraction", "values": [0.5, float("nan")]},
+    # A dataset key its kind never reads: glyphs are sized by `image`, not the arch's key.
+    {"dataset": {"kind": "shapes", "n": 40, "classes": 4, "image_hw": [8, 8], "seed": 2}},
 ]
 
 

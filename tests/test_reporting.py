@@ -3,7 +3,10 @@
 import csv
 
 import numpy as np
+import pytest
 
+from ntfusion.errors import BadSpec
+from ntfusion.experiments import ExperimentSpec
 from ntfusion.reporting import (
     CSV_HEADER,
     RunReport,
@@ -74,6 +77,15 @@ class TestCsv:
             header, row = csv.reader(f)
         assert header == CSV_HEADER.split(",")
         assert row == ['a,"b"\nc', "nt", "3", "0", "immediate_acc", "0.5"]
+
+    def test_a_name_with_a_carriage_return_is_refused_at_spec_read(self):
+        """The csv writer leaves a field with `\\r` bare under the `\\n` line
+        terminator, and a csv reader ends the row there."""
+        doc = {"name": "a\rb", "dataset": {"kind": "blobs", "n": 60, "classes": 3, "dim": 4,
+                                            "spread": 0.5, "seed": 5},
+               "arch": {"type": "mlp", "in_features": 4, "hidden": [8], "classes": 3}}
+        with pytest.raises(BadSpec, match="carriage return"):
+            ExperimentSpec.from_json(doc)
 
     def test_reemission_is_byte_identical(self, tmp_path):
         reports = sample_reports()

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: train, fuse, prune, eval, distill, experiment. `fuse` reads
-its members from disk as the method needs them, so averaging and the
-pairwise NT schemes hold a few members at a time, not all k; joint NT holds
-all k. `experiment` writes report.csv, report.json, timings.json and, when a
-report has a fine-tune series, report.svg into its output directory.
+Subcommands: train, fuse, prune, eval, distill, experiment. `fuse` and
+`distill` read members from disk as they need them, so averaging, pairwise NT
+and distillation hold a few at a time, not all k; joint NT holds all k.
+`experiment` writes report.csv, report.json, timings.json and, when a report
+has a fine-tune series, report.svg into its output directory.
 Exit codes: 0 success, 1 usage error (synopsis on stderr), 2 runtime error.
 """
 
@@ -162,7 +162,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_distill(args) -> int:
     student, _ = load_checkpoint(args.student)
-    teachers = EnsembleBundle([load_checkpoint(p)[0] for p in args.teachers])
+    teachers = EnsembleBundle(CheckpointSequence(args.teachers))  # each loads as it is read
     train_ds, test_ds = build_dataset(_load_descriptor(args.data))
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr).reseeded(args.seed)
     kd = KdConfig(temperature=args.temperature, soft_weight=args.soft_weight)

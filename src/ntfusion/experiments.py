@@ -5,7 +5,9 @@ each runnable from one JSON spec document through `run_spec`.
 Every experiment is reproducible from (spec, seeds): datasets, inits, batch
 orders, and fine-tuning are all driven by counter-based streams. Every kind
 runs through one driver, `_drive`, which runs the seeds serially, in seed
-order, and times each record.
+order, and times each record. Every model fused by a plan (in pipelines,
+compare, multimodel and the sparsity sweep) is an arm of `_fuse_arms`, named
+`method[/pipeline]`; each driver builds every plan before any member trains.
 """
 
 from __future__ import annotations
@@ -86,8 +88,11 @@ def _list(doc: dict, key: str, item_kind: type, default=_REQUIRED) -> list:
 
 
 def _distinct(values, what: str) -> None:
-    """Refuse repeated values: each one names a report cell, and a repeat
-    would fill its cell twice."""
+    """Refuse an empty list, which would train members for no report, and
+    repeated values: each one names a report cell, and a repeat would fill
+    its cell twice."""
+    if not values:
+        raise InvalidArg(f"{what} must name at least one value")
     if len(set(values)) != len(values):
         raise InvalidArg(f"{what} must not repeat a value, got {list(values)!r}")
 
@@ -209,8 +214,6 @@ class ExperimentSpec:
     plan: FusionPlan = field(default_factory=FusionPlan)
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise InvalidArg("need at least one seed")
         _distinct(self.seeds, "seeds")
         if self.k < 2:
             raise InvalidArg(f"fusion needs k >= 2 members, got k={self.k}")
@@ -221,7 +224,8 @@ class ExperimentSpec:
     def from_json(doc: dict) -> "ExperimentSpec":
         """The spec a parsed JSON document describes: each key it sets replaces
         one default, the train block's `_TRAIN` and `plan.finetune`'s the
-        default fine-tune, and an absent, null or empty key or block keeps it."""
+        default fine-tune, and an absent or null key, or an empty block,
+        keeps it. An empty `seeds` list is refused."""
         doc = _object(doc, "experiment spec")
         plan_doc = _get(doc, "plan", dict, {})
         name = _get(doc, "name", str)
@@ -344,57 +348,63 @@ def _drive(spec: ExperimentSpec, k: int, keys: list[tuple[str, str]], cells) -> 
     return [reports[key] for key in keys]
 
 
-def _context(members, member_accs, test_ds: Dataset) -> dict[str, float]:
-    return {"ensemble_acc": ensemble_accuracy(members, test_ds),
-            "best_member_acc": max(member_accs)}
+def _arm_plans(names, finetune: TrainConfig) -> list[FusionPlan]:
+    """The plan each arm name `method[/pipeline]` names, with `finetune`; an
+    empty list, a repeat or a name that names no plan is refused."""
+    _distinct(names, "fusion methods")
+    return [FusionPlan(**dict(zip(("method", "pipeline"), name.split("/", 1))),
+                       finetune=finetune) for name in names]
 
 
-def _pipeline_cell(bundle: EnsembleBundle, context: dict[str, float],
-                   data: tuple[Dataset, Dataset], seed: int, plan: FusionPlan) -> SeedRecord:
-    """The record of fusing `bundle` per the plan's pipeline and fine-tuning;
-    a plan that sets a sparsity also records whether the fused model has the
-    members' architecture."""
-    fused, merged_series = _pipeline_fuse(bundle, plan, *data, seed)
-    ft = plan.finetune  # the mid fine-tune spent part of its epochs
-    rec = _cell(fused, seed, context, data, replace(ft, epochs=ft.epochs - len(merged_series)))
-    if plan.sparsity is not None:
-        rec.set_metric("member_size_recovered", float(fused.arch_id == bundle.arch_id))
-    if merged_series:
-        rec.set_series("merged_ft_acc", merged_series)
-    return rec
+def _fuse_arms(spec: ExperimentSpec, arms, kd: KdConfig | None = None) -> list[RunReport]:
+    """One report per arm (report key, k, plan) and, given `kd`, then one per
+    arm's `+distill` twin. Per seed, an arm fuses the first k members through
+    `_pipeline_fuse`, records their `ensemble_acc` and `best_member_acc`
+    (once per k), and fine-tunes for the epochs the pipeline left; a plan
+    that sets a sparsity also records `member_size_recovered`. The twin
+    distills the same fused model from the k members' logits instead."""
+    keys = [key for key, _, _ in arms]
+    keys += [(e, f"{m}+distill") for e, m in keys] if kd is not None else []
+
+    def cells(bundle_all, member_accs, data, seed):
+        context, teachers = {}, {}  # each per k
+        for (experiment, method), k, plan in arms:
+            bundle = EnsembleBundle(bundle_all.members[:k], bundle_all.member_seeds[:k])
+            if k not in context:
+                context[k] = {"ensemble_acc": ensemble_accuracy(bundle.members, data[1]),
+                              "best_member_acc": max(member_accs[:k])}
+            fused, merged_series = _pipeline_fuse(bundle, plan, *data, seed)
+            metrics = dict(context[k], **({} if plan.sparsity is None else {
+                "member_size_recovered": float(fused.arch_id == bundle.arch_id)}))
+            ft = replace(plan.finetune, epochs=plan.finetune.epochs - len(merged_series))
+            if kd is not None and ft.epochs > 0 and k not in teachers:
+                teachers[k] = ensemble_logits(bundle.members, data[0])
+            for label, arm_kd in [(method, None)] + ([(f"{method}+distill", kd)] if kd else []):
+                rec = _cell(fused, seed, metrics, data, ft, arm_kd, teachers.get(k))
+                if merged_series:
+                    rec.set_series("merged_ft_acc", merged_series)
+                yield (experiment, label), rec
+
+    return _drive(spec, max(k for _, k, _ in arms), keys, cells)
 
 
 def run_pipeline(spec: ExperimentSpec) -> RunReport:
     """Train k members per seed, fuse per the plan, fine-tune, and report."""
     method = spec.plan.method
     key = (spec.name, method if method != "nt" else f"nt/{spec.plan.pipeline}")
-
-    def cells(bundle, member_accs, data, seed):
-        context = _context(bundle.members, member_accs, data[1])
-        yield key, _pipeline_cell(bundle, context, data, seed, spec.plan)
-
-    return _drive(spec, spec.k, [key], cells)[0]
+    return _fuse_arms(spec, [(key, spec.k, spec.plan)])[0]
 
 
 def ablation_multimodel(spec: ExperimentSpec, ks=(2, 4, 8),
                         methods=("nt", "nt_iterative", "nt_recursive")) -> list[RunReport]:
-    """Joint vs iterative vs recursive fusion over growing ensemble sizes."""
-    if not ks or min(ks) < 2:
-        raise InvalidArg(f"need ensemble sizes of at least 2, got {list(ks)!r}")
+    """Each arm (`compare_methods`' names) at each ensemble size k, on the first
+    k members of one set per seed; by default joint vs iterative vs recursive."""
     _distinct(ks, "ensemble sizes")
-    _distinct(methods, "fusion methods")
-
-    def cells(bundle_all, member_accs, data, seed):
-        for k in ks:
-            bundle = EnsembleBundle(bundle_all.members[:k], bundle_all.member_seeds[:k])
-            context = _context(bundle.members, member_accs[:k], data[1])
-            for m in methods:
-                fused = fuse(bundle, FusionPlan(method=m))
-                yield (f"{spec.name}-k{k}", m), _cell(fused, seed, context, data,
-                                                      spec.plan.finetune)
-
-    return _drive(spec, max(ks), [(f"{spec.name}-k{k}", m) for k in ks for m in methods],
-                  cells)
+    if min(ks) < 2:
+        raise InvalidArg(f"need ensemble sizes of at least 2, got {list(ks)!r}")
+    plans = _arm_plans(methods, spec.plan.finetune)
+    return _fuse_arms(spec, [((f"{spec.name}-k{k}", m), k, plan)
+                             for k in ks for m, plan in zip(methods, plans)])
 
 
 def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
@@ -404,26 +414,18 @@ def ablation_sweep(axis: str, values, spec: ExperimentSpec) -> list[RunReport]:
     _items(values, int if axis in ("width", "depth") else float, f"{axis} sweep values")
     _distinct(values, f"{axis} sweep values")
     if axis in ("width", "depth"):
-        hidden = _list(spec.arch, "hidden", int, [64])
-        if axis == "depth" and not hidden:
-            raise BadSpec("a depth sweep repeats the first 'hidden' width, and the list is empty")
-        return [
-            run_pipeline(replace(spec, name=f"{spec.name}-{axis}{v}", arch=dict(
-                spec.arch, hidden=[v] * len(hidden) if axis == "width" else [hidden[0]] * v)))
-            for v in values
-        ]
+        hidden = _list(spec.arch, "hidden", int, [])  # a convnet's default; an MLP must set it
+        if not hidden:
+            raise BadSpec(f"a {axis} sweep resizes the 'hidden' widths, and the arch has none")
+        return [run_pipeline(replace(spec, name=f"{spec.name}-{axis}{v}", arch=dict(
+            spec.arch, hidden=[v] * len(hidden) if axis == "width" else [hidden[0]] * v)))
+            for v in values]
     if axis == "transplant_fraction":
         return _transplant_sweep(values, spec)
     if axis == "sparsity":  # every value fuses the same members
         plans = [replace(spec.plan, method="nt", sparsity=float(v)) for v in values]
-        keys = [(f"{spec.name}-s{v}", f"nt/{spec.plan.pipeline}") for v in values]
-
-        def cells(bundle, member_accs, data, seed):
-            context = _context(bundle.members, member_accs, data[1])
-            for plan, key in zip(plans, keys):
-                yield key, _pipeline_cell(bundle, context, data, seed, plan)
-
-        return _drive(spec, spec.k, keys, cells)
+        return _fuse_arms(spec, [((f"{spec.name}-s{v}", f"nt/{plan.pipeline}"), spec.k, plan)
+                                 for v, plan in zip(values, plans)])
     raise InvalidArg(f"unknown sweep axis {axis!r}")
 
 
@@ -459,23 +461,13 @@ def failure_case(spec: ExperimentSpec) -> RunReport:
 
 def compare_methods(spec: ExperimentSpec, methods=("nt", "avg", "align"),
                     kd: KdConfig | None = None) -> list[RunReport]:
-    """NT against vanilla averaging and assignment-based align-and-average,
-    with an optional distillation arm per method."""
-    _distinct(methods, "fusion methods")
-    labels = list(methods) + ([f"{m}+distill" for m in methods] if kd else [])
-
-    def cells(bundle, member_accs, data, seed):
-        context = _context(bundle.members, member_accs, data[1])
-        teacher_logits = (ensemble_logits(bundle.members, data[0])  # shared by every arm
-                          if kd is not None and spec.plan.finetune.epochs > 0 else None)
-        for m in methods:
-            fused = fuse(bundle, FusionPlan(method=m))
-            yield (spec.name, m), _cell(fused, seed, context, data, spec.plan.finetune)
-            if kd is not None:  # the same fused model, distilled instead
-                yield (spec.name, f"{m}+distill"), _cell(fused, seed, context, data,
-                                                         spec.plan.finetune, kd, teacher_logits)
-
-    return _drive(spec, spec.k, [(spec.name, label) for label in labels], cells)
+    """NT against vanilla averaging and assignment-based align-and-average
+    by default. Each method is an arm name `method[/pipeline]` (say `avg` or
+    `nt/merge_ft_prune_ft`) fused as `run_pipeline` fuses that plan, with a
+    `+distill` twin given `kd`; every name is checked before any training."""
+    plans = _arm_plans(methods, spec.plan.finetune)
+    return _fuse_arms(spec, [((spec.name, m), spec.k, plan) for m, plan in zip(methods, plans)],
+                      kd)
 
 
 # Spec keys a driver never reads, because it picks its own fusion methods and
@@ -492,10 +484,12 @@ def run_spec(doc: dict) -> list[RunReport]:
     `experiment` picks the driver (default "pipeline"; also "multimodel",
     "sweep", "failure" and "compare"), and the driver reads its own keys:
     `ks` and `methods` (multimodel), `axis` and `values` (sweep), `methods`
-    and `kd` (compare, whose distill arms run when it is set). Each key set
-    replaces one default, and an absent, null or empty key or block keeps it:
-    the driver's for `ks` and `methods`, `KdConfig`'s for `kd`'s keys. A key
-    the driver never reads (`_UNREAD_KEYS`) is refused before any is parsed.
+    and `kd` (compare, whose distill arms run when it is set); `methods`
+    holds arm names `method[/pipeline]`. Each key set replaces one default,
+    and an absent or null key, or an empty block, keeps it: the driver's for
+    `ks` and `methods`, `KdConfig`'s for `kd`'s keys. An empty list, an arm
+    name that names no plan and a key the driver never reads (`_UNREAD_KEYS`,
+    checked before any key is parsed) are refused before any member trains.
     """
     doc = _object(doc, "experiment spec")
     kind = _get(doc, "experiment", str, "pipeline")

@@ -93,13 +93,9 @@ def concat_fuse(bundle: EnsembleBundle) -> Network:
     member, cross-member weights zero, and the mean head (the layout
     `pruning.gather_units` defines). In eval mode it computes the mean of the
     member outputs. The result labels every hidden unit with its member in
-    `origins`."""
+    `origins`: it is `prune_concat`'s output at sparsity 0, which keeps all."""
     _require_fusable(bundle)
-    k = bundle.k
-    couplings = hidden_couplings(bundle.members[0])
-    fused = gather_units(bundle.members, couplings, [np.arange(k * c.units) for c in couplings])
-    fused.origins = {c.layer: np.repeat(np.arange(k), c.units) for c in couplings} or None
-    return fused
+    return prune_concat(bundle.members, KeepPolicy.sparsity(0.0))
 
 
 def vanilla_average(bundle: EnsembleBundle) -> Network:
@@ -233,8 +229,8 @@ def fuse_recursive(bundle: EnsembleBundle) -> Network:
 
 
 def fuse(bundle: EnsembleBundle, plan: FusionPlan) -> Network:
-    """Dispatch on plan.method and, for `nt`, on plan.pipeline: only
-    `experiments.run_pipeline` fine-tunes the wide model `merge_ft_prune_ft`
+    """Dispatch on plan.method and, for `nt`, on plan.pipeline: only the
+    experiments' pipelines fine-tune the wide model `merge_ft_prune_ft`
     needs, so `fuse` refuses it."""
     if plan.method == "nt":
         if plan.pipeline == "merge_ft_prune_ft":

@@ -167,16 +167,25 @@ def average_logits(nets, x: Array) -> Array:
 
 
 def ensemble_logits(nets, ds: Dataset) -> Array:
-    """`average_logits` of every row of `ds`, _EVAL_ROWS rows per forward. An
-    empty dataset raises InvalidArg, a forward that overflows NonFiniteLoss."""
+    """`average_logits` of every row of `ds`, bit for bit, _EVAL_ROWS rows per
+    forward, but member-outer: each net runs over every row before the next
+    is read, so a `checkpoint.CheckpointSequence` holds at most two, the
+    last one only while the next loads. An empty dataset raises InvalidArg,
+    a forward that overflows NonFiniteLoss."""
     if len(ds) == 0:
         raise InvalidArg("cannot evaluate on an empty dataset")
+    out = None
     try:
-        chunks = [average_logits(nets, ds.features[s : s + _EVAL_ROWS])
-                  for s in range(0, len(ds), _EVAL_ROWS)]
+        for net in nets:
+            for s in range(0, len(ds), _EVAL_ROWS):
+                z = network.forward(net, ds.features[s : s + _EVAL_ROWS], "eval")
+                if out is None:  # -0.0 + x is x bit for bit, so the first net's logits are kept
+                    out = np.full((len(ds), z.shape[1]), -0.0, dtype=z.dtype)
+                out[s : s + len(z)] += z
     except NonFiniteTensor as exc:
         raise NonFiniteLoss(f"non-finite ensemble logits ({exc})") from exc
-    return np.concatenate(chunks)
+    out /= np.float32(len(nets))
+    return out
 
 
 def distill(student: Network, teacher_logits: Array, train_ds: Dataset, test_ds: Dataset,

@@ -265,10 +265,10 @@ class TestPlumbing:
 
 
 class TestFuseMemory:
-    """Peak bytes `tracemalloc` sees in one `ntfuse fuse` of k random-init
-    MLPs, against bounds in units of one member's file size M (its
-    parameters plus a small header). Each method loads a member when it
-    reads it and frees it after, so only joint NT grows with k."""
+    """Peak bytes `tracemalloc` sees in one `ntfuse fuse` or `ntfuse distill`
+    of k random-init MLPs, against bounds in units of one member's file size
+    M (its parameters plus a small header). Each method loads a member when
+    it reads it and frees it after, so only joint NT grows with k."""
 
     ARCH = {"type": "mlp", "in_features": 256, "hidden": [256] * 3, "classes": 10}
     BOUNDS = {
@@ -291,18 +291,30 @@ class TestFuseMemory:
             save_checkpoint(net, path)
         return paths
 
-    @pytest.mark.parametrize("k", [2, 4, 8])
-    @pytest.mark.parametrize("method", sorted(BOUNDS))
-    def test_peak(self, paths, tmp_path, capsys, method, k):
-        argv = ["fuse", "--method", method, "--in", *paths[:k], "--out", tmp_path / "f.ckpt"]
+    def peak(self, argv) -> int:
         assert run(argv) == 0  # one untraced run first: only the steady state is measured
         tracemalloc.start()
         try:
             assert run(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.BOUNDS[method](k) * paths[0].stat().st_size
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("method", sorted(BOUNDS))
+    def test_peak(self, paths, tmp_path, capsys, method, k):
+        argv = ["fuse", "--method", method, "--in", *paths[:k], "--out", tmp_path / "f.ckpt"]
+        assert self.peak(argv) <= self.BOUNDS[method](k) * paths[0].stat().st_size
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_distill_peak_is_flat_in_the_teacher_count(self, paths, tmp_path, capsys, k):
+        """`ntfuse distill` runs one teacher at a time over the 64 rows. Its
+        peak is the student, its training clone, velocity and gradients,
+        bounded by 5M at any k."""
+        data = {"kind": "blobs", "n": 64, "classes": 10, "dim": 256, "spread": 1.0, "seed": 1}
+        argv = ["distill", "--student", paths[0], "--teachers", *paths[:k],
+                "--data", json.dumps(data), "--epochs", "1", "--out", tmp_path / "s.ckpt"]
+        assert self.peak(argv) <= 5 * paths[0].stat().st_size
 
 
 class TestExperimentCommand:
@@ -399,9 +411,27 @@ REFUSED_BEFORE_TRAINING = [
                            ("transplant_fraction", [0, 0.0]),
                            ("transplant_fraction", [0.5, 0.5000001]),  # both labelled p=0.5
                            ("sparsity", [0.5, 0.5])]),
-    # A depth sweep repeats the first hidden width, so it needs one.
-    {"experiment": "sweep", "axis": "depth", "values": [1, 2],
-     "arch": {"type": "mlp", "in_features": 4, "hidden": [], "classes": 3}},
+    # Arm names that name no fusion plan, and lists that name no report.
+    {"experiment": "compare", "methods": ["nt", "bogus"]},
+    {"experiment": "multimodel", "methods": ["avg", "bogus"]},
+    {"experiment": "compare", "methods": ["avg/prune_merge_ft"]},
+    {"experiment": "compare", "methods": ["nt/bogus"]},
+    {"experiment": "compare", "methods": []},
+    {"experiment": "multimodel", "methods": []},
+    *({"experiment": "sweep", "axis": axis, "values": []}
+      for axis in ("width", "depth", "transplant_fraction", "sparsity")),
+    # A width or depth sweep resizes the hidden widths, so it needs some.
+    *({"experiment": "sweep", "axis": axis, "values": [1, 2],
+       "arch": {"type": "mlp", "in_features": 4, "hidden": [], "classes": 3}}
+      for axis in ("width", "depth")),
+    {"experiment": "sweep", "axis": "width", "values": [4],
+     "dataset": {"kind": "shapes", "n": 40, "classes": 4, "image": 8, "seed": 2},
+     "arch": {"type": "convnet", "image_hw": [8, 8], "in_channels": 1, "conv_channels": [2],
+              "classes": 4}},
+    # An MLP without hidden widths does not build, swept or not.
+    *({"experiment": "sweep", "axis": axis, "values": [1],
+       "arch": {"type": "mlp", "in_features": 4, "hidden": None, "classes": 3}}
+      for axis in ("width", "depth")),
     # Plan keys the experiment kind never reads: it picks its own fusion.
     {"experiment": "multimodel", "plan": {"pipeline": "merge_ft_prune_ft"}},
     {"experiment": "compare", "plan": {"method": "avg"}},
@@ -544,11 +574,6 @@ class TestBadSpec:
         args = cli._parser().parse_args(["distill", "--student", "s", "--teachers", "t",
                                          "--data", "d", "--out", "o"])
         assert KdConfig(args.temperature, args.soft_weight) == KdConfig()
-
-    def test_depth_sweep_on_null_hidden_uses_the_default_width(self, tmp_path, capsys):
-        doc = dict(small_spec(), experiment="sweep", axis="depth", values=[1],
-                   arch=dict(small_spec()["arch"], hidden=None))
-        assert self.run_spec(tmp_path, capsys, doc) == (0, "")
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_bad_sweep_values_exit_2(self, tmp_path, capsys, axis):

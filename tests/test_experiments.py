@@ -322,21 +322,55 @@ class TestCompareMethods:
                                                       (KdConfig(2.0, 0.5), 0, 0), (None, 1, 0)])
     def test_teachers_run_over_the_training_set_once_per_seed(self, monkeypatch, kd,
                                                               ft_epochs, passes):
-        from ntfusion import training
+        from ntfusion import network
 
         spec = tiny_spec(plan=FusionPlan(
             method="nt", finetune=TrainConfig(epochs=ft_epochs, lr=0.05, batch=BatchPlan(32))))
         train_rows = len(build_dataset(spec.dataset)[0])  # 225, one chunk; the test set has 75
-        forwards = []
-        per_chunk = training.average_logits
+        forwards = []  # rows of each eval-mode forward; training steps run none
+        forward = network.forward
 
-        def counted(members, x):
+        def counted(net, x, *args):
             forwards.append(len(x))
-            return per_chunk(members, x)
+            return forward(net, x, *args)
 
-        monkeypatch.setattr(training, "average_logits", counted)
+        monkeypatch.setattr(network, "forward", counted)
         compare_methods(spec, kd=kd)
-        assert forwards.count(train_rows) == passes * len(spec.seeds)
+        assert forwards.count(train_rows) == passes * spec.k * len(spec.seeds)
+
+    def test_pipeline_arm_records_equal_run_pipeline_s(self):
+        """A compare arm fuses through the pipeline path: the same members,
+        the same mid fine-tune and the same records as `run_pipeline`."""
+        spec = tiny_spec(plan=FusionPlan(
+            method="nt", finetune=TrainConfig(epochs=4, lr=0.05, batch=BatchPlan(32))))
+        arm, = compare_methods(spec, methods=("nt/merge_ft_prune_ft",))
+        alone = run_pipeline(replace(spec, plan=replace(spec.plan, pipeline="merge_ft_prune_ft")))
+        assert (arm.experiment, arm.method) == (alone.experiment, alone.method)
+        for rec, want in zip(arm.records, alone.records, strict=True):
+            assert len(rec.series["merged_ft_acc"]) == 2
+            assert (rec.metrics, rec.series) == (want.metrics, want.series)
+
+    def test_pipeline_arm_with_kd_files_plain_arms_then_distill_arms(self):
+        spec = tiny_spec(seeds=(1,))
+        reports = compare_methods(spec, methods=("nt/prune_merge_ft", "avg"), kd=KdConfig())
+        assert [r.method for r in reports] == [
+            "nt/prune_merge_ft", "avg", "nt/prune_merge_ft+distill", "avg+distill"]
+        plain, distilled = reports[0].records[0], reports[2].records[0]
+        alone = run_pipeline(replace(spec, plan=replace(spec.plan, pipeline="prune_merge_ft")))
+        assert (plain.metrics, plain.series) == (alone.records[0].metrics,
+                                                 alone.records[0].series)
+        assert distilled.metrics == plain.metrics  # the same fused model, distilled instead
+        assert distilled.series != plain.series
+
+    @pytest.mark.parametrize("methods", [("nt", "avg/prune_merge_ft"), ("nt", "bogus"), ()])
+    def test_bad_arm_list_is_refused_before_any_member_trains(self, monkeypatch, methods):
+        from ntfusion.errors import InvalidArg
+
+        monkeypatch.setattr(experiments, "train_members", lambda *a: pytest.fail("trained"))
+        with pytest.raises(InvalidArg):
+            compare_methods(tiny_spec(), methods=methods)
+        with pytest.raises(InvalidArg):
+            ablation_multimodel(tiny_spec(), ks=(2,), methods=methods)
 
     def test_align_runs_at_k3(self):
         reports = compare_methods(tiny_spec(k=3), methods=("align",))

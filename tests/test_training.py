@@ -294,22 +294,38 @@ class TestDistill:
         with pytest.raises(NonFiniteLoss, match="ensemble logits"):
             ensemble_logits([mlp([2, 8, 3], seed=18), huge], train_ds)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_ensemble_logits_are_average_logits_per_chunk(self, k):
+        train_ds, _ = blob_task(seed=88, n=700)  # 350 training rows: two chunks
+        teachers = [mlp([2, 8, 3], seed=60 + j) for j in range(k)]
+        want = np.concatenate([training.average_logits(teachers, train_ds.features[s:s + 256])
+                               for s in (0, 256)])
+        assert ensemble_logits(teachers, train_ds).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_ensemble_logits_keep_the_sign_of_negative_zero(self, monkeypatch, k):
+        train_ds, _ = blob_task(seed=89)
+        monkeypatch.setattr(nw, "forward", lambda net, x, mode: np.full((len(x), 3), -0.0,
+                                                                         dtype=np.float32))
+        out = ensemble_logits([mlp([2, 8, 3], seed=70 + j) for j in range(k)], train_ds)
+        assert out.shape == (len(train_ds), 3) and np.signbit(out).all()
+
     def test_teachers_run_once_per_row_and_never_in_distill(self, monkeypatch):
         train_ds, test_ds = blob_task(seed=85, n=700)  # 350 training rows: two chunks
-        forwards = []
-        per_batch = training.average_logits
-
-        def counted(members, x):
-            forwards.append(len(x))
-            return per_batch(members, x)
-
-        monkeypatch.setattr(training, "average_logits", counted)
         teachers = [mlp([2, 8, 3], seed=19), mlp([2, 8, 3], seed=20)]
+        forwards = []  # (teacher, rows) of each teacher forward
+        forward = nw.forward
+
+        def counted(net, x, *args):
+            forwards.extend((j, len(x)) for j, t in enumerate(teachers) if t is net)
+            return forward(net, x, *args)
+
+        monkeypatch.setattr(nw, "forward", counted)
         t_logits = ensemble_logits(teachers, train_ds)
-        assert forwards == [256, 94]
+        assert forwards == [(0, 256), (0, 94), (1, 256), (1, 94)]  # member-outer
         distill(mlp([2, 8, 3], seed=21), t_logits, train_ds, test_ds,
                 TrainConfig(epochs=3, lr=0.05, batch=BatchPlan(32)), KdConfig(2.0, 0.5))
-        assert forwards == [256, 94]
+        assert forwards == [(0, 256), (0, 94), (1, 256), (1, 94)]
 
     @pytest.mark.parametrize("rows", [0, 99, 101])
     def test_wrong_teacher_row_count_raises_shape_mismatch(self, rows):
